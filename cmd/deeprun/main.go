@@ -1,14 +1,17 @@
-// Command deeprun executes one of the real application workloads on
-// the functional Global-MPI runtime over the modelled DEEP machine and
-// reports both numerical verification and the modelled execution time.
-// It is a thin shell over the public deep SDK: one Machine, one
-// Workload, one Run.
+// Command deeprun executes one workload on the modelled DEEP machine
+// and reports both numerical verification and the modelled execution
+// time. It is a thin shell over deepd's spec pipeline: the flags fill
+// a serve.JobSpec, which is normalised, content-keyed and executed
+// exactly as a deepd job would be, so a -store record is a deepd
+// record (same key, same bytes, meta "workload:<kind>").
 //
 //	deeprun -app cholesky -n 64 -ts 16 -workers 8
 //	deeprun -app spmv -nx 32 -ny 32 -iters 10 -ranks 4
 //	deeprun -app stencil -nx 64 -ny 64 -iters 20 -ranks 8
 //	deeprun -app nbody -n 64 -iters 10 -ranks 4
 //	deeprun -app traffic -nx 8 -ny 8 -nz 8 -domains 4 -msgs 8192
+//	deeprun -app traffic -nx 4 -ny 4 -nz 4 -pattern neighbor -msgbytes 65536
+//	deeprun -app traffic -topo fattree -ranks 64 -pattern alltoall -error 1e-3
 //	deeprun -app spmv -ranks 4 -energy
 //	deeprun -app jobs -jobs 24 -dynamic -mtbf 120 -trace t.json -metrics m.csv
 //	deeprun -app spmv -store results          # persist the run
@@ -21,9 +24,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,7 @@ import (
 	"os/signal"
 
 	"repro/deep"
+	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -40,7 +42,7 @@ import (
 // booster demands across four owners.
 func syntheticJobs(n int, seed uint64) []deep.Job {
 	r := rand.New(rand.NewSource(int64(seed)))
-	jobs := make([]deep.Job, n)
+	jobs := make([]deep.Job, max(n, 0))
 	for i := range jobs {
 		jobs[i] = deep.Job{
 			ID:       i,
@@ -53,58 +55,46 @@ func syntheticJobs(n int, seed uint64) []deep.Job {
 	return jobs
 }
 
-// writeFile streams an export into path.
-func writeFile(path string, stderr io.Writer, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", path)
-	return nil
-}
-
 // run is the testable body of main: parses args (without the program
 // name), runs the workload, and returns the process exit code. A
 // failed numerical verification returns 1 even though the run itself
 // completed — CI scripts depend on that.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	w := &serve.WorkloadSpec{}
+	spec := &serve.JobSpec{Workload: w}
 	fs := flag.NewFlagSet("deeprun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fs.StringVar(&w.Kind, "app", "cholesky", "workload: cholesky | spmv | stencil | nbody | jobs | traffic")
+	fs.IntVar(&w.N, "n", 64, "cholesky matrix dimension / nbody body count")
+	fs.IntVar(&w.TileSize, "ts", 16, "cholesky tile size")
+	fs.IntVar(&w.Workers, "workers", 8, "cholesky OmpSs workers")
+	fs.IntVar(&w.NX, "nx", 32, "grid X dimension (traffic: booster torus X)")
+	fs.IntVar(&w.NY, "ny", 32, "grid Y dimension (traffic: booster torus Y)")
+	fs.IntVar(&w.Iters, "iters", 10, "iterations (nbody: steps)")
+	fs.Float64Var(&w.Tol, "tol", 0, "override the workload's verification tolerance (0: built-in default)")
+	fs.BoolVar(&w.Dynamic, "dynamic", false, "jobs: draw boosters from the shared pool instead of static ownership")
+	fs.IntVar(&w.Messages, "msgs", 4096, "traffic: number of random point-to-point messages")
+	fs.IntVar(&w.MsgBytes, "msgbytes", 2048, "traffic: payload bytes per message")
+	fs.Float64Var(&w.WindowMS, "window", 1, "traffic: random injection window in virtual milliseconds")
+	fs.StringVar(&w.Topology, "topo", "torus", "traffic: fabric: torus (booster, -nx/-ny/-nz) | fattree (cluster, one node per rank) | crossbar (booster)")
+	fs.StringVar(&w.Pattern, "pattern", "random", "traffic: random (-msgs over -window) | neighbor (torus only) | alltoall")
+	fs.Float64Var(&w.ErrorRate, "error", 0, "traffic: per-packet link error probability (sequential kernel only)")
+	fs.Uint64Var(&spec.Seed, "seed", 42, "random seed (non-zero)")
+	fs.StringVar(&spec.Fidelity, "fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+	fs.BoolVar(&spec.Energy, "energy", false, "report energy to solution (joules, per-group breakdown)")
+	fs.IntVar(&spec.Domains, "domains", 0, "simulation-kernel domain count (0 or 1: sequential kernel; <0: GOMAXPROCS)")
+	fs.IntVar(&spec.MaxWindow, "maxwindow", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0 or 1: fixed windows)")
 	var (
-		app      = fs.String("app", "cholesky", "workload: cholesky | spmv | stencil | nbody | jobs | traffic")
-		n        = fs.Int("n", 64, "cholesky matrix dimension / nbody body count")
-		ts       = fs.Int("ts", 16, "cholesky tile size")
-		workers  = fs.Int("workers", 8, "cholesky OmpSs workers")
-		nx       = fs.Int("nx", 32, "grid X dimension")
-		ny       = fs.Int("ny", 32, "grid Y dimension")
-		iters    = fs.Int("iters", 10, "iterations")
-		ranks    = fs.Int("ranks", 4, "MPI ranks")
-		seed     = fs.Uint64("seed", 42, "random seed")
-		fidStr   = fs.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
-		energy   = fs.Bool("energy", false, "report energy to solution (joules, per-group breakdown)")
-		tol      = fs.Float64("tol", 0, "override the workload's verification tolerance (0: built-in default)")
+		ranks    = fs.Int("ranks", 4, "MPI ranks; the machine gets one cluster node per rank (at least 2)")
 		jobCount = fs.Int("jobs", 24, "jobs: number of synthetic jobs to schedule")
-		dynamic  = fs.Bool("dynamic", false, "jobs: draw boosters from the shared pool instead of static ownership")
 		mtbf     = fs.Float64("mtbf", 0, "jobs: per-node MTBF in seconds (0: no fault injection)")
 		boosters = fs.Int("boosters", 16, "jobs: booster pool size")
+		nz       = fs.Int("nz", 8, "traffic: booster torus Z dimension (with -nx/-ny)")
 		trace    = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 		metrics  = fs.String("metrics", "", "write sampled metrics timeseries CSV to this file")
 		sample   = fs.Float64("sample", 0.1, "metrics sampling interval in virtual seconds (with -metrics)")
 		storeDir = fs.String("store", "", "persist the run to an append-only store in this directory")
 		resume   = fs.Bool("resume", false, "replay a stored identical run from -store instead of simulating")
-		domains  = fs.Int("domains", 0, "simulation-kernel domain count (0 or 1: sequential kernel; <0: GOMAXPROCS)")
-		maxWin   = fs.Int("maxwindow", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0 or 1: fixed windows)")
-		nz       = fs.Int("nz", 8, "traffic: booster torus Z dimension (with -nx/-ny)")
-		msgs     = fs.Int("msgs", 4096, "traffic: number of point-to-point messages")
-		msgBytes = fs.Int("msgbytes", 2048, "traffic: payload bytes per message")
-		windowMS = fs.Float64("window", 1, "traffic: injection window in virtual milliseconds")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -114,68 +104,53 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "deeprun: %v\n", err)
 		return 1
 	}
+	switch {
+	case *resume && *storeDir == "":
+		return fail(fmt.Errorf("-resume needs -store"))
+	case *storeDir != "" && (*trace != "" || *metrics != ""):
+		return fail(fmt.Errorf("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)"))
+	case *ranks < 1:
+		return fail(fmt.Errorf("-ranks %d: need at least one rank", *ranks))
+	case spec.Seed == 0:
+		return fail(fmt.Errorf("-seed 0: specs read seed 0 as the machine default (42); pass -seed 42 for it"))
+	}
 
-	fid, err := deep.ParseFidelity(*fidStr)
+	// Flags shared between apps fill every field they can mean;
+	// Normalize keeps only the fields the chosen kind reads.
+	w.Steps = w.Iters
+	w.Jobs = syntheticJobs(*jobCount, spec.Seed)
+	m := &serve.MachineSpec{ClusterNodes: max(*ranks, 2), BoosterNodes: max(*ranks, 2), ClusterRanks: *ranks}
+	if w.Kind == "jobs" {
+		m.BoosterNodes = *boosters
+		if *mtbf > 0 {
+			m.Faults = &serve.FaultSpec{NodeMTBFS: *mtbf, RepairS: 5}
+		}
+	}
+	if w.Kind == "traffic" {
+		m.BoosterNodes, m.BoosterTorus = 0, []int{w.NX, w.NY, *nz}
+	}
+	spec.Machine = m
+	spec.Trace = *trace != ""
+	if *metrics != "" {
+		spec.MetricsEveryS = *sample
+	}
+	if err := spec.Normalize(); err != nil {
+		return fail(err)
+	}
+	key, err := spec.ContentKey()
 	if err != nil {
 		return fail(err)
 	}
 
-	if *resume && *storeDir == "" {
-		return fail(fmt.Errorf("-resume needs -store"))
-	}
 	var st *store.Store
-	var storeKey string
 	if *storeDir != "" {
-		if *trace != "" || *metrics != "" {
-			return fail(fmt.Errorf("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)"))
-		}
 		if st, err = store.Open(*storeDir, store.Options{}); err != nil {
 			return fail(err)
 		}
 		defer st.Close()
-		// The content address covers every knob that shapes the output:
-		// identical invocations hash identically, anything else is a
-		// different point. Knobs that only exist for one app are zeroed
-		// for every other app, and new knobs carry omitempty, so hashes
-		// of historical invocations are unchanged.
-		tMsgs, tBytes, tWindow, tNZ := 0, 0, 0.0, 0
-		if *app == "traffic" {
-			tMsgs, tBytes, tWindow, tNZ = *msgs, *msgBytes, *windowMS, *nz
-		}
-		storeKey, err = deep.ContentHash(struct {
-			V        int     `json:"v"`
-			Kind     string  `json:"kind"`
-			App      string  `json:"app"`
-			N        int     `json:"n"`
-			TS       int     `json:"ts"`
-			Workers  int     `json:"workers"`
-			NX       int     `json:"nx"`
-			NY       int     `json:"ny"`
-			Iters    int     `json:"iters"`
-			Ranks    int     `json:"ranks"`
-			Seed     uint64  `json:"seed"`
-			Fidelity string  `json:"fidelity"`
-			Energy   bool    `json:"energy"`
-			Tol      float64 `json:"tol"`
-			Jobs     int     `json:"jobs"`
-			Dynamic  bool    `json:"dynamic"`
-			MTBF     float64 `json:"mtbf"`
-			Boosters int     `json:"boosters"`
-			Domains  int     `json:"domains,omitempty"`
-			MaxWin   int     `json:"max_window,omitempty"`
-			NZ       int     `json:"nz,omitempty"`
-			Msgs     int     `json:"msgs,omitempty"`
-			MsgBytes int     `json:"msgbytes,omitempty"`
-			WindowMS float64 `json:"window_ms,omitempty"`
-		}{1, "deeprun", *app, *n, *ts, *workers, *nx, *ny, *iters, *ranks,
-			*seed, fid.String(), *energy, *tol, *jobCount, *dynamic, *mtbf, *boosters,
-			*domains, *maxWin, tNZ, tMsgs, tBytes, tWindow})
-		if err != nil {
-			return fail(err)
-		}
 	}
 	if *resume {
-		if e, ok, gerr := st.Get(storeKey); gerr == nil && ok && len(e.Text) > 0 {
+		if e, ok, gerr := st.Get(key); gerr == nil && ok && len(e.Text) > 0 {
 			if _, werr := stdout.Write(e.Text); werr != nil {
 				return fail(werr)
 			}
@@ -187,111 +162,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var w deep.Workload
-	switch *app {
-	case "cholesky":
-		w = deep.Cholesky{N: *n, TileSize: *ts, Workers: *workers}
-	case "spmv":
-		w = deep.SpMV{NX: *nx, NY: *ny, Iters: *iters}
-	case "stencil":
-		w = deep.Stencil{NX: *nx, NY: *ny, Iters: *iters}
-	case "nbody":
-		w = deep.NBody{N: *n, Steps: *iters}
-	case "jobs":
-		w = deep.ScheduledJobs{Jobs: syntheticJobs(*jobCount, *seed), Dynamic: *dynamic}
-	case "traffic":
-		w = deep.TorusTraffic{Messages: *msgs, Bytes: *msgBytes, WindowMS: *windowMS}
-	default:
-		return fail(fmt.Errorf("unknown app %q", *app))
-	}
-
-	// The machine sizes each fabric to hold one rank per node, like
-	// the original hand-wired runs did.
-	opts := []deep.Option{
-		deep.WithClusterNodes(max(*ranks, 2)),
-		deep.WithBoosterNodes(max(*ranks, 2)),
-		deep.WithClusterRanks(*ranks),
-		deep.WithSeed(*seed),
-		deep.WithFidelity(fid),
-	}
-	if *app == "jobs" {
-		opts = append(opts, deep.WithBoosterNodes(*boosters))
-		if *mtbf > 0 {
-			opts = append(opts, deep.WithFaultInjector(deep.FaultPlan{NodeMTBF: *mtbf, Repair: 5}))
-		}
-	}
-	if *app == "traffic" {
-		opts = append(opts, deep.WithBoosterTorus(*nx, *ny, *nz))
-	}
-	if *domains != 0 {
-		opts = append(opts, deep.WithDomains(*domains))
-	}
-	if *maxWin > 1 {
-		opts = append(opts, deep.WithMaxWindow(*maxWin))
-	}
-	if *energy {
-		opts = append(opts, deep.WithEnergyMetering())
-	}
-	if *trace != "" {
-		opts = append(opts, deep.WithTracing())
-	}
-	if *metrics != "" {
-		opts = append(opts, deep.WithMetrics(*sample))
-	}
-	m, err := deep.NewMachine(opts...)
+	entry, err := serve.Execute(ctx, key, spec, nil)
 	if err != nil {
 		return fail(err)
 	}
-
-	env := m.NewEnv()
-	env.Tol = *tol
-	res, err := deep.Run(ctx, env, w)
-	if err != nil {
-		return fail(err)
-	}
-	var text bytes.Buffer
-	out := io.Writer(stdout)
-	if st != nil {
-		// Tee the rendered text so the stored copy replays verbatim.
-		out = io.MultiWriter(stdout, &text)
-	}
-	if err := res.WriteText(out); err != nil {
+	if _, err := stdout.Write(entry.Text); err != nil {
 		return fail(err)
 	}
 	if st != nil {
-		payload, merr := json.Marshal(struct {
-			V        int    `json:"v"`
-			Kind     string `json:"kind"`
-			App      string `json:"app"`
-			Verified bool   `json:"verified"`
-		}{1, "deeprun", *app, res.Verified})
-		if merr != nil {
-			return fail(merr)
-		}
-		if perr := st.Put(&store.Entry{
-			Key: storeKey, Meta: "deeprun:" + *app, Verified: res.Verified,
-			Result: payload, Text: text.Bytes(),
-		}); perr != nil {
+		if perr := st.Put(entry.StoreEntry(spec)); perr != nil {
 			fmt.Fprintf(stderr, "deeprun: store write failed: %v (run output above is unaffected)\n", perr)
 		}
 	}
-	if *trace != "" {
-		if res.Trace == nil {
-			return fail(fmt.Errorf("%s recorded no trace", *app))
+	for _, out := range []struct {
+		path string
+		data []byte
+	}{{*trace, entry.Trace}, {*metrics, entry.Metrics}} {
+		if out.path == "" {
+			continue
 		}
-		if err := writeFile(*trace, stderr, res.Trace.WriteChrome); err != nil {
+		if err := os.WriteFile(out.path, out.data, 0o644); err != nil {
 			return fail(err)
 		}
+		fmt.Fprintf(stderr, "wrote %s\n", out.path)
 	}
-	if *metrics != "" {
-		if res.Series == nil {
-			return fail(fmt.Errorf("%s recorded no metrics (only engine-backed apps like jobs sample)", *app))
-		}
-		if err := writeFile(*metrics, stderr, res.Series.WriteCSV); err != nil {
-			return fail(err)
-		}
-	}
-	if !res.Verified {
+	if !entry.Verified {
 		return 1
 	}
 	return 0

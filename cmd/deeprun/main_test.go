@@ -2,10 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // TestRunVerifiedWorkloadExitsZero: the happy path prints VERIFIED
@@ -46,7 +54,12 @@ func TestRunBadFlagsExitNonZero(t *testing.T) {
 		{"-app", "fft"},
 		{"-fidelity", "exact"},
 		{"-ranks", "0"},
+		{"-seed", "0"},
+		{"-app", "jobs", "-jobs", "-1"},
 		{"-nosuchflag"},
+		{"-app", "traffic", "-topo", "ring"},
+		{"-app", "traffic", "-topo", "fattree", "-pattern", "neighbor"},
+		{"-app", "traffic", "-topo", "crossbar", "-domains", "2"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder
@@ -152,5 +165,89 @@ func TestRunWritesArtifacts(t *testing.T) {
 		} else if fi.Size() == 0 {
 			t.Errorf("%s is empty", p)
 		}
+	}
+}
+
+// TestRunTrafficScenario: the fabric-traffic flags reach the workload.
+func TestRunTrafficScenario(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run(context.Background(), []string{
+		"-app", "traffic", "-topo", "fattree", "-ranks", "32", "-pattern", "alltoall",
+		"-msgbytes", "512", "-error", "0.01",
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s\nstdout:\n%s", code, errOut.String(), out.String())
+	}
+	for _, want := range []string{"fattree=32", "pattern=alltoall", "error=0.01", "retransmits"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestStoreSharedWithDeepd: a point deeprun stores is a deepd record —
+// a serve.Server booted on the same store answers the equivalent
+// hand-written spec from the store, with identical text, and never
+// simulates.
+func TestStoreSharedWithDeepd(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	var fresh, errOut strings.Builder
+	if code := run(context.Background(), []string{"-app", "spmv", "-store", dir}, &fresh, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut.String())
+	}
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := serve.New(serve.Options{Store: st})
+	defer srv.Drain(5 * time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := `{"workload": {"kind": "spmv"},
+		"machine": {"cluster_nodes": 4, "booster_nodes": 4, "cluster_ranks": 4}, "seed": 42}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub serve.SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.State != serve.StateDone || !sub.CacheHit {
+		t.Fatalf("equivalent spec was not a store hit: %+v", sub)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub.ID + "/text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(text) != fresh.String() {
+		t.Fatalf("deepd text differs from deeprun's:\n--- deeprun ---\n%s--- deepd ---\n%s", fresh.String(), text)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats serve.ServerStats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StoreWarmed != 1 {
+		t.Fatalf("store warmed %d entries, want the 1 deeprun wrote", stats.StoreWarmed)
+	}
+	e, ok, err := st.Get(sub.Key)
+	if err != nil || !ok {
+		t.Fatalf("no stored record under %s: ok=%v err=%v", sub.Key, ok, err)
+	}
+	if e.Meta != "workload:spmv" {
+		t.Fatalf("stored record meta %q, want workload:spmv", e.Meta)
 	}
 }

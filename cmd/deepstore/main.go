@@ -31,8 +31,8 @@ const usage = `usage: deepstore [-dir DIR] <command>
 
 commands:
   stats            store size, segments, live ratio, epoch (JSON)
-  query <meta>     stored points tagged <meta> (an experiment id,
-                   "workload:<kind>" or "deeprun:<app>")
+  query <meta>     stored points tagged <meta> (an experiment id or
+                   "workload:<kind>")
   get <key>        print the stored text result under a content key
   advance          advance the store epoch
   prune <epochs>   tombstone entries untouched for at least <epochs> epochs

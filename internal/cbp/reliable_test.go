@@ -37,9 +37,19 @@ func transfer(t *testing.T, msg []byte, dataMangler, ackMangler func(int, []byte
 	return got, res.sends
 }
 
+// losslessConfig is the default window with a retransmission timer
+// no scheduler stall can outlast: on a lossless wire every ACK
+// arrives, so a timeout could only be a spurious go-back-N resend
+// that breaks an exact send count.
+func losslessConfig() ReliableConfig {
+	cfg := DefaultReliableConfig()
+	cfg.Timeout = time.Minute
+	return cfg
+}
+
 func TestReliableLossless(t *testing.T) {
 	msg := []byte("across the booster interface")
-	got, sends := transfer(t, msg, nil, nil, DefaultReliableConfig())
+	got, sends := transfer(t, msg, nil, nil, losslessConfig())
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("payload mismatch: %q", got)
 	}
@@ -54,7 +64,7 @@ func TestReliableMultiFrame(t *testing.T) {
 	for i := range msg {
 		msg[i] = byte(r.Uint64())
 	}
-	got, sends := transfer(t, msg, nil, nil, DefaultReliableConfig())
+	got, sends := transfer(t, msg, nil, nil, losslessConfig())
 	if !bytes.Equal(got, msg) {
 		t.Fatal("multi-frame payload mismatch")
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/deep"
 )
@@ -31,113 +32,71 @@ type ExperimentResult struct {
 	Table    *deep.Table `json:"table"`
 }
 
-// execute runs a normalized spec to completion and packages the
-// outcome as a cache entry. progress receives one label per
-// simulation run the job opens (experiment sweep points).
-func execute(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
-	if spec.Experiment != "" {
-		return executeExperiment(ctx, key, spec, progress)
-	}
-	return executeWorkload(ctx, key, spec)
-}
-
-// executeExperiment drives one registry experiment through the
-// context-aware Runner.
-func executeExperiment(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
-	r := &deep.Runner{
-		Seed:         spec.Seed,
-		Scale:        spec.Scale,
-		Energy:       spec.Energy,
-		Domains:      spec.Domains,
-		MaxNodes:     spec.MaxNodes,
-		Tracing:      spec.Trace,
-		MetricsEvery: spec.MetricsEveryS,
-		Progress:     progress,
-	}
-	if spec.Fidelity != "" {
-		fid, err := deep.ParseFidelity(spec.Fidelity)
-		if err != nil {
-			return nil, err // unreachable after normalize
-		}
-		r.Fidelity = fid
-	}
-	rep, err := r.Run(ctx, spec.Experiment)
-	if err != nil {
-		return nil, err
-	}
-	res := rep.Results[0]
+// Execute runs a normalized spec to completion and packages the
+// outcome under key: the JSON result payload, the rendered text, and
+// the trace / metrics attachments the spec asks for. progress, when
+// non-nil, receives one label per simulation run the job opens
+// (experiment sweep points). deepd's workers and deeprun both run
+// specs through it, so a spec's stored bytes do not depend on which
+// tool computed them.
+func Execute(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
 	entry := &Entry{Key: key, Verified: true}
-	payload := &ResultPayload{
-		Kind: "experiment",
-		Key:  key,
-		Experiment: &ExperimentResult{
+	payload := &ResultPayload{Key: key}
+	var text, trace, metrics func(io.Writer) error
+	if spec.Experiment != "" {
+		rep, err := spec.runner(progress).Run(ctx, spec.Experiment)
+		if err != nil {
+			return nil, err
+		}
+		res := rep.Results[0]
+		payload.Kind = "experiment"
+		payload.Experiment = &ExperimentResult{
 			ID: res.ID, Title: res.Title, PaperRef: res.PaperRef, Table: res.Table,
-		},
-	}
-	if entry.Result, err = json.Marshal(payload); err != nil {
-		return nil, err
-	}
-	var text bytes.Buffer
-	if err := (deep.TableSink{}).Write(&text, rep); err != nil {
-		return nil, err
-	}
-	entry.Text = text.Bytes()
-	if spec.Trace {
-		var buf bytes.Buffer
-		if err := rep.WriteChromeTrace(&buf); err != nil {
+		}
+		text = func(w io.Writer) error { return deep.TableSink{}.Write(w, rep) }
+		trace, metrics = rep.WriteChromeTrace, rep.WriteMetricsCSV
+	} else {
+		env, wl, err := spec.buildEnv()
+		if err != nil {
 			return nil, err
 		}
-		entry.Trace = buf.Bytes()
-	}
-	if spec.MetricsEveryS > 0 {
-		var buf bytes.Buffer
-		if err := rep.WriteMetricsCSV(&buf); err != nil {
+		res, err := deep.Run(ctx, env, wl)
+		if err != nil {
 			return nil, err
 		}
-		entry.Metrics = buf.Bytes()
-	}
-	return entry, nil
-}
-
-// executeWorkload builds the machine and runs the custom workload.
-func executeWorkload(ctx context.Context, key string, spec *JobSpec) (*Entry, error) {
-	env, wl, err := spec.buildEnv()
-	if err != nil {
-		return nil, err
-	}
-	res, err := deep.Run(ctx, env, wl)
-	if err != nil {
-		return nil, err
-	}
-	entry := &Entry{Key: key, Verified: res.Verified}
-	payload := &ResultPayload{Kind: "workload", Key: key, Workload: res}
-	if entry.Result, err = json.Marshal(payload); err != nil {
-		return nil, err
-	}
-	var text bytes.Buffer
-	if err := res.WriteText(&text); err != nil {
-		return nil, err
-	}
-	entry.Text = text.Bytes()
-	if spec.Trace {
-		if res.Trace == nil {
+		switch {
+		case spec.Trace && res.Trace == nil:
 			return nil, fmt.Errorf("workload %q records no trace", wl.Name())
-		}
-		var buf bytes.Buffer
-		if err := res.Trace.WriteChrome(&buf); err != nil {
-			return nil, err
-		}
-		entry.Trace = buf.Bytes()
-	}
-	if spec.MetricsEveryS > 0 {
-		if res.Series == nil {
+		case spec.MetricsEveryS > 0 && res.Series == nil:
 			return nil, fmt.Errorf("workload %q samples no metrics (only engine-backed workloads do)", wl.Name())
 		}
-		var buf bytes.Buffer
-		if err := res.Series.WriteCSV(&buf); err != nil {
+		payload.Kind, payload.Workload = "workload", res
+		entry.Verified = res.Verified
+		text, trace, metrics = res.WriteText, res.Trace.WriteChrome, res.Series.WriteCSV
+	}
+	var err error
+	if entry.Result, err = json.Marshal(payload); err != nil {
+		return nil, err
+	}
+	if entry.Text, err = render(text); err != nil {
+		return nil, err
+	}
+	if spec.Trace {
+		if entry.Trace, err = render(trace); err != nil {
 			return nil, err
 		}
-		entry.Metrics = buf.Bytes()
+	}
+	if spec.MetricsEveryS > 0 {
+		if entry.Metrics, err = render(metrics); err != nil {
+			return nil, err
+		}
 	}
 	return entry, nil
+}
+
+// render captures one writer-based export.
+func render(write func(io.Writer) error) ([]byte, error) {
+	var buf bytes.Buffer
+	err := write(&buf)
+	return buf.Bytes(), err
 }

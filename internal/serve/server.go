@@ -90,7 +90,7 @@ type Server struct {
 	storeErrors uint64
 	warmed      int
 
-	// exec runs one normalized spec; it is execute in production and a
+	// exec runs one normalized spec; it is Execute in production and a
 	// seam for deterministic lifecycle tests.
 	exec func(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error)
 }
@@ -127,7 +127,7 @@ func New(opts Options) *Server {
 		start:    time.Now(),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		exec:     execute,
+		exec:     Execute,
 	}
 	s.cache = NewCache(s.opts.CacheBytes, s.opts.CacheEntries)
 	s.store = s.opts.Store
@@ -228,11 +228,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if spec.Domains == 0 {
 		spec.Domains = s.opts.DefaultDomains
 	}
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		writeError(w, err)
 		return
 	}
-	key, err := spec.contentKey()
+	key, err := spec.ContentKey()
 	if err != nil {
 		writeError(w, err)
 		return

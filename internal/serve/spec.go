@@ -96,7 +96,8 @@ type CkptSpec struct {
 
 // WorkloadSpec names and parameterises one workload, mirroring the
 // deeprun CLI surface: cholesky | spmv | stencil | nbody | jobs |
-// traffic.
+// traffic. Each kind reads only its own fields; Normalize clears the
+// rest.
 type WorkloadSpec struct {
 	Kind string `json:"kind"`
 
@@ -122,10 +123,15 @@ type WorkloadSpec struct {
 	BoostersPerOwner int        `json:"boosters_per_owner,omitempty"`
 	Ckpt             *CkptSpec  `json:"ckpt,omitempty"`
 
-	// Torus-traffic parameters (the parallel-kernel exerciser).
-	Messages int     `json:"messages,omitempty"`
-	MsgBytes int     `json:"msg_bytes,omitempty"`
-	WindowMS float64 `json:"window_ms,omitempty"`
+	// Fabric-traffic parameters (the parallel-kernel exerciser); see
+	// deep.TorusTraffic. Topology and Pattern defaults ("torus",
+	// "random") canonicalise to "".
+	Messages  int     `json:"messages,omitempty"`
+	MsgBytes  int     `json:"msg_bytes,omitempty"`
+	WindowMS  float64 `json:"window_ms,omitempty"`
+	Topology  string  `json:"topology,omitempty"`
+	Pattern   string  `json:"pattern,omitempty"`
+	ErrorRate float64 `json:"error_rate,omitempty"`
 }
 
 // invalidf is shorthand for a 400 validation error.
@@ -140,11 +146,24 @@ func (s *JobSpec) exptSpec() expt.Spec {
 		Domains: s.Domains, MaxWindow: s.MaxWindow, MaxNodes: s.MaxNodes}
 }
 
-// normalize validates the spec and rewrites it into canonical form:
+// runner builds the Runner an experiment job runs on: every expt.Spec
+// knob plus the observability flags. The spec must be normalized, so
+// its fidelity string parses.
+func (s *JobSpec) runner(progress func(string)) *deep.Runner {
+	fid, _ := deep.ParseFidelity(s.Fidelity)
+	return &deep.Runner{
+		Seed: s.Seed, Scale: s.Scale, Fidelity: fid, Energy: s.Energy,
+		Domains: s.Domains, MaxWindow: s.MaxWindow, MaxNodes: s.MaxNodes,
+		Tracing: s.Trace, MetricsEvery: s.MetricsEveryS, Progress: progress,
+	}
+}
+
+// Normalize validates the spec and rewrites it into canonical form:
 // run knobs canonicalised through expt.Spec, workload and machine
-// defaults filled in explicitly. After normalize, semantically
-// identical requests are structurally identical.
-func (s *JobSpec) normalize() error {
+// defaults filled in explicitly. After Normalize, semantically
+// identical requests are structurally identical. Errors are typed
+// (*Error).
+func (s *JobSpec) Normalize() error {
 	switch {
 	case s.Experiment == "" && s.Workload == nil:
 		return invalidf("spec needs an experiment id or a workload")
@@ -194,31 +213,32 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-// normalize fills the per-kind workload defaults (mirroring the
-// workload implementations) so defaulted and explicit specs hash the
-// same, and rejects unknown kinds and invalid parameters.
+// normalize rewrites the workload into canonical form: the
+// environment fields plus the fields its kind reads, with the
+// per-kind defaults (mirroring the workload implementations) filled
+// in, and every other field cleared — so defaulted, explicit and
+// padded specs hash the same. It rejects unknown kinds and invalid
+// parameters.
 func (w *WorkloadSpec) normalize() error {
-	def := func(v *int, d int) {
-		if *v <= 0 {
-			*v = d
-		}
+	if w.Ranks < 0 {
+		return invalidf("negative rank count %d", w.Ranks)
 	}
+	def := func(v, d int) int {
+		if v <= 0 {
+			return d
+		}
+		return v
+	}
+	c := WorkloadSpec{Kind: w.Kind, Ranks: w.Ranks, PlaceOnBooster: w.PlaceOnBooster, Tol: w.Tol}
 	switch w.Kind {
 	case "cholesky":
-		def(&w.N, 64)
-		def(&w.TileSize, 16)
-		def(&w.Workers, 8)
+		c.N, c.TileSize, c.Workers = def(w.N, 64), def(w.TileSize, 16), def(w.Workers, 8)
 	case "spmv":
-		def(&w.NX, 32)
-		def(&w.NY, 32)
-		def(&w.Iters, 10)
+		c.NX, c.NY, c.Iters = def(w.NX, 32), def(w.NY, 32), def(w.Iters, 10)
 	case "stencil":
-		def(&w.NX, 64)
-		def(&w.NY, 64)
-		def(&w.Iters, 20)
+		c.NX, c.NY, c.Iters = def(w.NX, 64), def(w.NY, 64), def(w.Iters, 20)
 	case "nbody":
-		def(&w.N, 64)
-		def(&w.Steps, 10)
+		c.N, c.Steps = def(w.N, 64), def(w.Steps, 10)
 	case "jobs":
 		if len(w.Jobs) == 0 {
 			return invalidf("jobs workload needs a non-empty job list")
@@ -229,17 +249,38 @@ func (w *WorkloadSpec) normalize() error {
 					i, j.Arrival, j.Duration, j.Boosters)
 			}
 		}
-		if c := w.Ckpt; c != nil && (c.IntervalS < 0 || c.WriteS < 0 || c.RestoreS < 0 || c.IOWatts < 0) {
+		if ck := w.Ckpt; ck != nil && (ck.IntervalS < 0 || ck.WriteS < 0 || ck.RestoreS < 0 || ck.IOWatts < 0) {
 			return invalidf("checkpoint spec has negative parameters")
 		}
+		c.Jobs, c.Dynamic, c.Contiguous, c.BoostersPerOwner, c.Ckpt =
+			w.Jobs, w.Dynamic, w.Contiguous, w.BoostersPerOwner, w.Ckpt
 	case "traffic":
-		def(&w.Messages, 4096)
-		def(&w.MsgBytes, 2048)
 		if w.WindowMS < 0 {
 			return invalidf("negative traffic window %v ms", w.WindowMS)
 		}
-		if w.WindowMS == 0 {
-			w.WindowMS = 1
+		if w.ErrorRate < 0 || w.ErrorRate >= 1 {
+			return invalidf("traffic error rate %v outside [0, 1)", w.ErrorRate)
+		}
+		c.Messages, c.MsgBytes, c.WindowMS, c.ErrorRate = def(w.Messages, 4096), def(w.MsgBytes, 2048), w.WindowMS, w.ErrorRate
+		if c.WindowMS == 0 {
+			c.WindowMS = 1
+		}
+		switch w.Topology {
+		case "", "torus":
+		case "fattree", "crossbar":
+			c.Topology = w.Topology
+		default:
+			return invalidf("unknown traffic topology %q (want torus, fattree or crossbar)", w.Topology)
+		}
+		switch w.Pattern {
+		case "", "random":
+		case "neighbor", "alltoall":
+			c.Pattern = w.Pattern
+		default:
+			return invalidf("unknown traffic pattern %q (want random, neighbor or alltoall)", w.Pattern)
+		}
+		if c.Pattern == "neighbor" && c.Topology != "" {
+			return invalidf("the neighbor pattern needs the torus topology, not %q", c.Topology)
 		}
 	case "":
 		return errf(ErrUnknownWorkload, http.StatusBadRequest, "workload spec needs a kind")
@@ -247,9 +288,7 @@ func (w *WorkloadSpec) normalize() error {
 		return errf(ErrUnknownWorkload, http.StatusBadRequest,
 			"unknown workload kind %q (want cholesky, spmv, stencil, nbody, jobs or traffic)", w.Kind)
 	}
-	if w.Ranks < 0 {
-		return invalidf("negative rank count %d", w.Ranks)
-	}
+	*w = c
 	return nil
 }
 
@@ -382,7 +421,8 @@ func (s *JobSpec) buildEnv() (*deep.Env, deep.Workload, error) {
 		}
 		wl = sj
 	case "traffic":
-		wl = deep.TorusTraffic{Messages: w.Messages, Bytes: w.MsgBytes, WindowMS: w.WindowMS}
+		wl = deep.TorusTraffic{Messages: w.Messages, Bytes: w.MsgBytes, WindowMS: w.WindowMS,
+			Topology: w.Topology, Pattern: w.Pattern, ErrorRate: w.ErrorRate}
 	default:
 		return nil, nil, errf(ErrUnknownWorkload, http.StatusBadRequest, "unknown workload kind %q", w.Kind)
 	}
@@ -402,9 +442,10 @@ type hashSpec struct {
 	MetricsS   float64       `json:"metrics_every_s,omitempty"`
 }
 
-// contentKey returns the spec's content address. The spec must be
-// normalized first, so that defaulted and explicit forms coincide.
-func (s *JobSpec) contentKey() (string, error) {
+// ContentKey returns the spec's content address: the cache and store
+// key. The spec must be normalized first, so that defaulted and
+// explicit forms coincide.
+func (s *JobSpec) ContentKey() (string, error) {
 	return deep.ContentHash(hashSpec{
 		V:          1,
 		Experiment: s.Experiment,

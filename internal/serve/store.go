@@ -9,22 +9,15 @@ import "repro/internal/store"
 // share the content key, so a byte stored is a byte served — the
 // byte-identical guarantee survives a daemon restart.
 
-// specMeta tags a persisted record with its queryable label: the
-// experiment id, or "workload:<kind>" for custom workload jobs.
-func specMeta(spec *JobSpec) string {
-	if spec.Experiment != "" {
-		return spec.Experiment
-	}
+// StoreEntry converts a finished entry of spec into its persisted
+// form, labelled with the experiment id or "workload:<kind>" so store
+// queries can find it. Byte slices are shared, not copied: both sides
+// treat entries as immutable after construction.
+func (e *Entry) StoreEntry(spec *JobSpec) *store.Entry {
+	meta := spec.Experiment
 	if spec.Workload != nil {
-		return "workload:" + spec.Workload.Kind
+		meta = "workload:" + spec.Workload.Kind
 	}
-	return ""
-}
-
-// toStoreEntry converts a finished cache entry into its persisted
-// form. Byte slices are shared, not copied: both sides treat entries
-// as immutable after construction.
-func toStoreEntry(e *Entry, meta string) *store.Entry {
 	return &store.Entry{
 		Key: e.Key, Meta: meta, Verified: e.Verified,
 		Result: e.Result, Text: e.Text, Trace: e.Trace, Metrics: e.Metrics,
@@ -88,7 +81,7 @@ func (s *Server) storeWrite(entry *Entry, spec *JobSpec) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(toStoreEntry(entry, specMeta(spec))); err != nil {
+	if err := s.store.Put(entry.StoreEntry(spec)); err != nil {
 		s.mu.Lock()
 		s.storeErrors++
 		s.mu.Unlock()

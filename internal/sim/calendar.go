@@ -44,9 +44,22 @@ type calendar struct {
 	// maxDepth records the high-water mark of count.
 	maxDepth int
 	resizes  uint64
-	// recycle returns an unlinked event to the owning engine's free
-	// list; installed by the engine before the first insert.
-	recycle func(*Event)
+	// free is the engine's event free list, threaded through
+	// Event.next. It is per-engine, so events never migrate across
+	// engines (the Token safety contract relies on that), and it is
+	// plain memory rather than a sync.Pool, so reuse — and the
+	// Allocs/Reused counters — are the same on every run.
+	free *Event
+}
+
+// recycle clears an unlinked event and pushes it on the free list.
+func (c *calendar) recycle(ev *Event) {
+	ev.fn = nil
+	ev.h = nil
+	ev.queued = false
+	ev.cancelled = false
+	ev.next = c.free
+	c.free = ev
 }
 
 func (c *calendar) init() {

@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is a virtual time stamp in picoseconds since simulation start.
@@ -80,10 +79,9 @@ type Event struct {
 	h      Handler
 	a0, a1 int64
 
-	next      *Event // bucket chain
+	next      *Event // bucket chain, or free-list link once recycled
 	queued    bool
 	cancelled bool
-	used      bool // ever dispatched through the pool (for alloc stats)
 }
 
 // Token identifies a scheduled event for cancellation. The zero Token
@@ -132,13 +130,6 @@ type Engine struct {
 	allocs    uint64
 	reused    uint64
 
-	// pool is the engine-local event free list. sync.Pool gives the
-	// GC license to reclaim idle events between runs; keeping one pool
-	// per engine (rather than a process-global one) guarantees events
-	// never migrate across engines, which the Token safety contract
-	// and the engine's single-threadedness rely on.
-	pool sync.Pool
-
 	// probe, when set, observes the clock advancing: it runs before
 	// each event dispatches, with the new current time. It must not
 	// schedule or cancel events — it exists so the observability layer
@@ -179,22 +170,13 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if e.cal.recycle == nil {
-		e.pool.New = func() any { return new(Event) }
-		e.cal.recycle = func(ev *Event) {
-			ev.fn = nil
-			ev.h = nil
-			ev.next = nil
-			ev.queued = false
-			ev.cancelled = false
-			e.pool.Put(ev)
-		}
-	}
-	ev := e.pool.Get().(*Event)
-	if ev.used {
+	ev := e.cal.free
+	if ev != nil {
+		e.cal.free = ev.next
+		ev.next = nil
 		e.reused++
 	} else {
-		ev.used = true
+		ev = new(Event)
 		e.allocs++
 	}
 	e.seq++
