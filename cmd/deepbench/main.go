@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/deep"
+	"repro/internal/expt"
 	"repro/internal/store"
 )
 
@@ -130,6 +131,9 @@ func runBench(ctx context.Context, runner *deep.Runner, ids []string, reps int, 
 	for _, e := range deep.Experiments() {
 		infos[e.ID] = e
 	}
+	// Key and record the domain count the kernel runs with, in the
+	// canonical spec form: 0 for sequential, GOMAXPROCS for -1.
+	domains := (&expt.Config{Domains: runner.Domains}).Spec().Domains
 	var results []benchResult
 	for _, id := range ids {
 		best, summary, err := timeBest(ctx, runner, id, reps)
@@ -137,12 +141,12 @@ func runBench(ctx context.Context, runner *deep.Runner, ids []string, reps int, 
 			return err
 		}
 		res := benchResult{
-			ID:         benchKey(id, runner.Domains, runner.MaxWindow, runner.MaxNodes),
+			ID:         benchKey(id, domains, runner.MaxWindow, runner.MaxNodes),
 			Title:      infos[id].Title,
 			Fidelity:   runner.Fidelity.String(),
 			Runs:       reps,
 			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Domains:    runner.Domains,
+			Domains:    domains,
 			MaxNodes:   runner.MaxNodes,
 			NsPerOp:    best.Nanoseconds(),
 			MsPerOp:    float64(best.Nanoseconds()) / 1e6,

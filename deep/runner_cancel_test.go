@@ -3,6 +3,7 @@ package deep_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -147,5 +148,20 @@ func TestRunnerProgressLabels(t *testing.T) {
 		if l == "" {
 			t.Fatal("empty progress label")
 		}
+	}
+}
+
+// TestRunnerProgressE15Sequential: E15 at the default domain count
+// reports one label per sweep point, like any K, so a default sweep is
+// never silent on a progress stream.
+func TestRunnerProgressE15Sequential(t *testing.T) {
+	var labels []string
+	r := &deep.Runner{MaxNodes: 5000, Progress: func(label string) { labels = append(labels, label) }}
+	if _, err := r.Run(context.Background(), "E15"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"E15-torus3d-10x10x10-K1", "E15-torus3d-16x16x16-K1"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("E15 progress labels %q, want %q", labels, want)
 	}
 }

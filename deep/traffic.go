@@ -15,14 +15,15 @@ import (
 
 // TorusTraffic drives point-to-point traffic over one of the
 // machine's fabrics at the machine's fidelity. It is the SDK's window
-// into the simulation kernel itself: on a machine built
-// WithDomains(k > 1) the fabric is split into k slabs, each simulated
-// by its own domain engine under conservative window synchronization,
-// and Result.Kernel reports the per-domain scheduler counters
-// (executed events, blocked windows) next to the coherent
-// machine-wide aggregate. On the default machine the exact sequential
-// kernel runs random traffic over the booster torus, byte-identical
-// to previous releases.
+// into the simulation kernel itself. Every run goes through one
+// fabric.Domains: on a machine built WithDomains(k > 1) the fabric is
+// split into k slabs, each simulated by its own domain engine under
+// conservative window synchronization, and Result.Kernel reports the
+// per-domain scheduler counters (executed events, blocked windows)
+// next to the coherent machine-wide aggregate. On the default machine
+// the partition has one domain — the exact sequential kernel, which
+// accepts every topology and error injection — and Result.Kernel
+// carries the aggregate counters only.
 //
 // Results are deterministic per (seed, domain count): the partitioned
 // kernel's output is byte-stable for a fixed k, not across k —
@@ -54,7 +55,7 @@ type TorusTraffic struct {
 	Pattern string
 	// ErrorRate is the per-packet, per-link corruption probability in
 	// [0, 1); links retransmit corrupted packets up to 64 times. Error
-	// injection needs the sequential kernel.
+	// injection needs a one-domain machine.
 	ErrorRate float64
 }
 
@@ -80,16 +81,17 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	fid := fabric.Fidelity(m.fidelity)
 	res := &Result{Workload: w.Name()}
 
-	// The fabric: topology, link and energy parameters, and — for
-	// partitionable fabrics — the slab count and partitioned builder.
+	// The fabric: topology, link and energy parameters, and the slabs
+	// a partition may cut it into — units blocks of unitNodes
+	// consecutive nodes (torus z planes, fat-tree leaves).
 	var (
-		topo   topology.Topology
-		tor    *topology.Torus3D
-		params = fabric.Extoll
-		energy = fabric.ExtollEnergy
-		shape  string
-		slabs  = 1
-		par    func(k int) *fabric.Domains
+		topo      topology.Topology
+		tor       *topology.Torus3D
+		params    = fabric.Extoll
+		energy    = fabric.ExtollEnergy
+		shape     string
+		units     = 1
+		unitNodes int
 	)
 	switch w.Topology {
 	case "", "torus":
@@ -102,22 +104,15 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 				fmt.Sprintf("booster torus rounded up to %dx%dx%d = %d nodes", x, y, z, x*y*z))
 		}
 		tor = topology.NewTorus3D(x, y, z)
-		topo, shape, slabs = tor, fmt.Sprintf("torus=%dx%dx%d", x, y, z), z
-		par = func(k int) *fabric.Domains {
-			doms, _ := machine.BoosterFabricPar(x, y, z, k, fid, m.seed)
-			return doms
-		}
+		topo, shape, units, unitNodes = tor, fmt.Sprintf("torus=%dx%dx%d", x, y, z), z, x*y
 	case "fattree":
 		leaves := (m.clusterNodes + 15) / 16
 		topo = topology.NewFatTree(16, leaves, 8)
 		params, energy = fabric.InfiniBandFDR, fabric.InfiniBandEnergy
-		shape, slabs = fmt.Sprintf("fattree=%d", topo.Nodes()), leaves
-		par = func(k int) *fabric.Domains {
-			doms, _ := machine.ClusterFabricPar(16, leaves, 8, k, fid, m.seed)
-			return doms
-		}
+		shape, units, unitNodes = fmt.Sprintf("fattree=%d", topo.Nodes()), leaves, 16
 	case "crossbar":
 		topo, shape = topology.NewCrossbar(m.boosterNodes), fmt.Sprintf("crossbar=%d", m.boosterNodes)
+		unitNodes = topo.Nodes()
 	default:
 		return nil, fmt.Errorf("deep: unknown traffic topology %q (want torus, fattree or crossbar)", w.Topology)
 	}
@@ -125,12 +120,11 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	switch {
 	case w.ErrorRate < 0 || w.ErrorRate >= 1:
 		return nil, fmt.Errorf("deep: traffic error rate %v outside [0, 1)", w.ErrorRate)
-	case k > 1 && par == nil:
+	case k > 1 && w.Topology == "crossbar":
 		return nil, fmt.Errorf("deep: a crossbar is %w: run WithDomains(1)", ErrPartitionUnsupported)
 	case k > 1 && w.ErrorRate > 0:
 		return nil, fmt.Errorf("deep: packet error injection is %w: run WithDomains(1)", ErrPartitionUnsupported)
 	}
-	k = min(k, slabs)
 	params.PacketErrorRate, params.MaxRetries = w.ErrorRate, 64
 	nodes := topo.Nodes()
 
@@ -171,63 +165,35 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	count = len(items)
 	delivered := make([]sim.Time, count)
 
-	var (
-		finish  sim.Time
-		st      fabric.Stats
-		util    float64
-		joules  float64
-		metered bool
-	)
-	if k > 1 {
-		doms := par(k)
-		k = doms.Domains()
-		if mw := m.MaxWindow(); mw > 1 {
-			doms.SetMaxWindow(mw)
-		}
-		if m.energy {
-			doms.SetEnergyModel(energy)
-			metered = true
-		}
-		for i, it := range items {
-			i, it := i, it
-			sh := doms.ShardOf(it.src)
-			sh.Eng.At(it.start, func() {
-				sh.Send(it.src, it.dst, size, func(at sim.Time, err error) {
-					if err == nil {
-						delivered[i] = at
-					}
-				})
+	doms, err := fabric.NewDomains(topo, params, m.seed, machine.SlabBounds(units, unitNodes, k))
+	if err != nil {
+		return nil, err
+	}
+	doms.SetFidelity(fid)
+	k = doms.Domains()
+	if mw := m.MaxWindow(); mw > 1 {
+		doms.SetMaxWindow(mw)
+	}
+	if m.energy {
+		doms.SetEnergyModel(energy)
+	}
+	for i, it := range items {
+		i, it := i, it
+		sh := doms.ShardOf(it.src)
+		sh.Eng.At(it.start, func() {
+			sh.Send(it.src, it.dst, size, func(at sim.Time, err error) {
+				if err == nil {
+					delivered[i] = at
+				}
 			})
-		}
-		finish = doms.Run()
-		st = doms.Stats()
-		util = doms.MaxLinkUtilisation()
-		joules = doms.EnergyJoules(finish)
+		})
+	}
+	finish := doms.Run()
+	st := doms.Stats()
+	if k > 1 {
 		res.Kernel = clusterKernelStats(doms.KernelStats())
 	} else {
-		eng := sim.New()
-		net := fabric.MustNetwork(eng, topo, params, m.seed)
-		net.SetFidelity(fid)
-		if m.energy {
-			net.SetEnergyModel(energy)
-			metered = true
-		}
-		for i, it := range items {
-			i, it := i, it
-			eng.At(it.start, func() {
-				net.Send(it.src, it.dst, size, func(at sim.Time, err error) {
-					if err == nil {
-						delivered[i] = at
-					}
-				})
-			})
-		}
-		eng.Run()
-		finish = eng.Now()
-		st = net.Stats
-		util = net.MaxLinkUtilisation()
-		joules = net.EnergyJoules()
-		res.Kernel = kernelStats(eng.Stats())
+		res.Kernel = kernelStats(doms.KernelStats().Agg)
 	}
 
 	done := 0
@@ -244,13 +210,14 @@ func (w TorusTraffic) Run(ctx context.Context, env *Env) (*Result, error) {
 	res.addMetric("messages", float64(st.Messages), "")
 	res.addMetric("delivered_bytes", float64(st.BytesDelivered), "B")
 	res.addMetric("cross_messages", float64(st.CrossMessages), "")
-	res.addMetric("max_link_util", util, "")
+	res.addMetric("max_link_util", doms.MaxLinkUtilisation(), "")
 	if w.ErrorRate > 0 {
 		res.Summary += fmt.Sprintf(" error=%g", w.ErrorRate)
 		res.addMetric("retransmits", float64(st.Retransmits), "")
 		res.addMetric("drops", float64(st.Drops), "")
 	}
-	if metered {
+	if m.energy {
+		joules := doms.EnergyJoules(finish)
 		res.Energy = &EnergyReport{
 			Joules:  joules,
 			Charges: []Metric{{Name: "fabric", Value: joules, Unit: "J"}},

@@ -12,13 +12,24 @@ import (
 	"repro/internal/sim"
 )
 
+// obsConfig is the unobserved run config of the observability tests:
+// scale 1, and a two-point E15 sweep so its packet runs stay quick.
+func obsConfig(id string) *Config {
+	cfg := &Config{Scale: 1}
+	if id == "E15" {
+		cfg.MaxNodes = 5000
+	}
+	return cfg
+}
+
 // traceWith runs one experiment with a fresh tracing+metrics observer
 // and returns the rendered table, the exported Chrome trace and the
 // exported metrics CSV.
 func traceWith(t *testing.T, e Experiment, fid fabric.Fidelity) (table, trace, csv []byte) {
 	t.Helper()
 	o := obs.New(true, sim.FromSeconds(0.5))
-	cfg := &Config{Scale: 1, Fidelity: fid, Obs: o}
+	cfg := obsConfig(e.ID)
+	cfg.Fidelity, cfg.Obs = fid, o
 	tab, err := e.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s (%v): %v", e.ID, fid, err)
@@ -42,9 +53,10 @@ func traceWith(t *testing.T, e Experiment, fid fabric.Fidelity) (table, trace, c
 // metrics. A nondeterministic map walk, an unsorted scope, or a fast
 // path that commits a flow at a different virtual time all surface
 // here. E13 exercises the full span surface (faults, checkpoints,
-// requeues); E16 exercises power transitions and link telemetry.
+// requeues); E16 exercises power transitions and link telemetry; E15
+// exercises the partitioned-kernel coordinator at its one-domain default.
 func TestTraceDeterminism(t *testing.T) {
-	for _, id := range []string{"E13", "E16"} {
+	for _, id := range []string{"E13", "E15", "E16"} {
 		e, ok := Get(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
@@ -74,14 +86,14 @@ func TestTraceDeterminism(t *testing.T) {
 // probe and spans are reconstructed from state the model already
 // tracks, so watching a run must never change what it computes.
 func TestObservationIsInert(t *testing.T) {
-	for _, id := range []string{"E13", "E14", "E16"} {
+	for _, id := range []string{"E13", "E14", "E15", "E16"} {
 		e, ok := Get(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
 		}
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			bare := renderWith(t, e, &Config{Scale: 1})
+			bare := renderWith(t, e, obsConfig(id))
 			observed, _, _ := traceWith(t, e, fabric.FidelityDefault)
 			if !bytes.Equal(bare, observed) {
 				t.Fatalf("%s table changes when observed:\n--- bare ---\n%s\n--- observed ---\n%s",

@@ -29,6 +29,10 @@ import (
 // produce the identical table (the traffic is uncontended, where the
 // flow model is exact), just slower — the determinism regression test
 // relies on exactly that.
+//
+// There is one code path for every domain count K: a sequential run is
+// the one-domain partition, whose single shard is the plain fabric on
+// the cluster's only engine.
 
 // e15Edges are the torus edge lengths swept: k^3 nodes each, 1000 to
 // 103823 ("100k boosters"). Edge 100 — a million-node booster — lies
@@ -73,14 +77,6 @@ var e15Kernel = machine.Kernel{
 	VectorEfficiency: 0.8,
 }
 
-// e15Halo injects the six-neighbour halo exchange of every node and
-// calls done when the last halo has been delivered.
-func e15Halo(net *fabric.Network, tor *topology.Torus3D, done func()) {
-	n := tor.Nodes()
-	latch := sim.NewLatch(6*n, done)
-	e15HaloSlab(net, tor, 0, n, func(sim.Time, error) { latch.Done() })
-}
-
 // e15HaloSlab injects the halo exchange of the nodes in [lo, hi). On a
 // partitioned fabric the slab range must match the shard: a halo is a
 // single hop over the source's own link, so every send stays
@@ -99,17 +95,11 @@ func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func
 	}
 }
 
-// e15Chain passes a partial sum down ring[i] -> ring[i-1] -> ... ->
-// ring[0], one message at a time, then releases the latch.
-func e15Chain(net *fabric.Network, ring []topology.NodeID, latch *sim.Latch) {
-	e15ChainSeg(net, ring, latch.Done)
-}
-
-// e15ChainSeg is the latch-free chain primitive shared by the
-// sequential and partitioned sweeps: on a shard, every sender ring[1:]
-// must be owned by net; ring[0] may live on the slab below (a send's
-// link belongs to its source, so the boundary hop is still
-// shard-local).
+// e15ChainSeg passes a partial sum down ring[i] -> ring[i-1] -> ... ->
+// ring[0], one message at a time, then calls done. On a shard, every
+// sender ring[1:] must be owned by net; ring[0] may live on the slab
+// below (a send's link belongs to its source, so the boundary hop is
+// still shard-local).
 func e15ChainSeg(net *fabric.Network, ring []topology.NodeID, done func()) {
 	i := len(ring) - 1
 	var step func()
@@ -125,156 +115,37 @@ func e15ChainSeg(net *fabric.Network, ring []topology.NodeID, done func()) {
 	step()
 }
 
-// e15Reduce runs the dimension-ordered global reduction to node
-// (0,0,0): every X ring chains to its x=0 node, the x=0 plane chains
-// along Y, the (0,0,*) line chains along Z. The critical path is
-// 3*(k-1) sequential neighbour messages — the diameter cost that
-// global synchronisation pays on a torus.
-func e15Reduce(net *fabric.Network, tor *topology.Torus3D, done func()) {
-	k := tor.X
-	ring := func(coord func(i int) topology.NodeID) []topology.NodeID {
-		r := make([]topology.NodeID, k)
-		for i := range r {
-			r[i] = coord(i)
-		}
-		return r
-	}
-	phaseZ := func() {
-		latch := sim.NewLatch(1, done)
-		e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, 0, i) }), latch)
-	}
-	phaseY := func() {
-		latch := sim.NewLatch(k, phaseZ)
-		for z := 0; z < k; z++ {
-			z := z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(0, i, z) }), latch)
-		}
-	}
-	latch := sim.NewLatch(k*k, phaseY)
-	for y := 0; y < k; y++ {
-		for z := 0; z < k; z++ {
-			y, z := y, z
-			e15Chain(net, ring(func(i int) topology.NodeID { return tor.ID(i, y, z) }), latch)
-		}
-	}
-}
-
-func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
-	edges, err := e15Sweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.domains() > 1 {
-		return runE15Par(ctx, cfg, edges)
-	}
-	fid := cfg.fidelity(fabric.FidelityFlow)
-	rounds := cfg.scale(1)
-	compute := machine.KNC.Time(e15Kernel, machine.KNC.Cores)
-	// The fidelity is deliberately absent from the table: Packet, Flow
-	// and Auto all produce these exact numbers (the traffic never
-	// queues two messages on one link, where the flow model is exact),
-	// and the determinism regression test holds them to it.
-	tab := stats.NewTable(
-		"E15 Weak scaling on the booster torus, 1k -> 100k nodes",
-		cfg.energyHeaders("torus", "nodes", "peak_TF", "round_ms", "halo_us", "reduce_us", "weak_eff")...)
-	var base sim.Time
-	for _, k := range edges {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		eng := sim.New()
-		net, tor := machine.BoosterFabric(eng, k, k, k, fid, 2013)
-		n := tor.Nodes()
-		sys := machine.BoosterSystem(n)
-		var rec *energy.Recorder
-		var grp *energy.NodeGroup
-		if cfg.energyOn() {
-			rec = energy.NewRecorder(eng)
-			grp = rec.MustAddGroup("booster", machine.KNC, n)
-			net.SetEnergyModel(fabric.ExtollEnergy)
-		}
-
-		var haloT, reduceT, finish sim.Time
-		var round func(r int)
-		round = func(r int) {
-			if r == rounds {
-				finish = eng.Now()
-				return
-			}
-			start := eng.Now()
-			e15Halo(net, tor, func() {
-				haloT += eng.Now() - start
-				rstart := eng.Now()
-				e15Reduce(net, tor, func() {
-					reduceT += eng.Now() - rstart
-					// Compute phase: every node busy on the stencil
-					// kernel; the exchange phases left them idle
-					// (the NIC works, the cores wait).
-					grp.Transition(n, machine.PowerIdle, machine.PowerBusy)
-					grp.AddFlops(float64(n) * e15Kernel.Flops)
-					eng.After(compute, func() {
-						grp.Transition(n, machine.PowerBusy, machine.PowerIdle)
-						round(r + 1)
-					})
-				})
-			})
-		}
-		round(0)
-		eng.Run()
-		rec.Charge("fabric", net.EnergyJoules())
-
-		perRound := finish / sim.Time(rounds)
-		if base == 0 {
-			base = perRound
-		}
-		tab.AddRow(cfg.energyRow(
-			[]any{tor.Name(), n, sys.PeakGFlops() / 1000,
-				float64(perRound) / float64(sim.Millisecond),
-				(haloT / sim.Time(rounds)).Micros(),
-				(reduceT / sim.Time(rounds)).Micros(),
-				float64(base) / float64(perRound)},
-			rec.Joules(), rec.GFlopsPerWatt())...)
-	}
-	e15Notes(tab, cfg)
-	return tab, nil
-}
-
-// e15Notes appends the interpretation notes shared by the sequential
-// and partitioned sweeps — the two paths must render byte-identical
-// tables for any edge both can reach.
-func e15Notes(tab *stats.Table, cfg *Config) {
-	tab.AddNote("halo exchange is one message per link and stays flat at any scale (the booster's design point)")
-	tab.AddNote("the global reduction's 3(k-1)-hop critical path grows as n^(1/3): global sync, not halos, erodes weak scaling")
-	tab.AddNote("expected shape: weak_eff decays gently to ~100k nodes; round time stays in the same millisecond decade")
-	if cfg.energyOn() {
-		tab.AddNote("energy: nodes idle during exchanges and busy during the kernel; GFlop/W erodes with weak efficiency as the reduction tail grows")
-	}
-}
-
-// runE15Par is the partitioned-kernel twin of runE15: the same sweep,
-// phases and table, executed over K domain engines under conservative
-// window synchronization. The coordinator replaces runE15's latches
-// with run-to-quiescence phase barriers: every E15 phase ends at the
-// virtual time of its last delivery, which is exactly when the
-// sequential latch would have fired, so for edges both kernels can
-// reach the tables agree row for row. (Fabric energy totals are summed
-// shard by shard, so with Energy on the floating-point tail of the
-// joules column is byte-stable per fixed K, not across K.)
+// runE15 runs the sweep over K domain engines under conservative
+// window synchronization. A run-to-quiescence phase barrier ends every
+// phase at the virtual time of its last delivery, so the table does
+// not depend on K. (Fabric energy totals are summed shard by shard,
+// so with Energy on the floating-point tail of the joules column is
+// byte-stable per fixed K, not across K.)
 //
 // Phase decomposition: halos and the X/Y reduction chains are
 // slab-local under dimension-ordered routing (a send's link belongs to
 // its source node), so each domain advances them independently within
 // the conservative windows. Only the final Z line walks across slabs;
 // the coordinator runs its per-slab segments top-down, each starting
-// at the quiescence time of the previous — the same critical path the
-// sequential kernel serializes through its latch chain.
-func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, error) {
+// at the quiescence time of the previous. The whole reduction is
+// dimension-ordered to node (0,0,0): X rings, then the x=0 plane along
+// Y, then the (0,0,*) line along Z — a 3*(k-1)-message critical path,
+// the diameter cost global synchronisation pays on a torus.
+func runE15(ctx context.Context, cfg *Config) (*stats.Table, error) {
+	edges, err := e15Sweep(cfg)
+	if err != nil {
+		return nil, err
+	}
 	fid := cfg.fidelity(fabric.FidelityFlow)
 	rounds := cfg.scale(1)
 	compute := machine.KNC.Time(e15Kernel, machine.KNC.Cores)
 	tab := stats.NewTable(
 		"E15 Weak scaling on the booster torus, 1k -> 100k nodes",
 		cfg.energyHeaders("torus", "nodes", "peak_TF", "round_ms", "halo_us", "reduce_us", "weak_eff")...)
+	// The kernel counters, per-domain trace lanes and window hook exist
+	// only for a real partition; a one-domain run reports like the plain
+	// sequential kernel.
+	par := cfg.domains() > 1
 	var base sim.Time
 	var kexec, kwin, kblocked, kcross, kwide uint64
 	for _, k := range edges {
@@ -291,8 +162,8 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 		n := tor.Nodes()
 		sys := machine.BoosterSystem(n)
 		// The coordinator's clock engine carries the energy recorder; it
-		// advances to each phase boundary so power-state transitions
-		// integrate at the same virtual times as runE15's.
+		// advances to each phase boundary, where the power-state
+		// transitions happen.
 		clock := sim.New()
 		var rec *energy.Recorder
 		var grp *energy.NodeGroup
@@ -302,7 +173,7 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 			doms.SetEnergyModel(fabric.ExtollEnergy)
 		}
 		run := cfg.observe(fmt.Sprintf("E15-%s-K%d", tor.Name(), K), clock)
-		if scope := run.Scope(); scope.Enabled() {
+		if scope := run.Scope(); par && scope.Enabled() {
 			for d := 0; d < K; d++ {
 				scope.Thread(obs.LaneDomains+d, fmt.Sprintf("domain %d", d))
 			}
@@ -385,6 +256,9 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 			haloT += h - now
 			rdone := reduceZ(chains(chains(h, ringsX), ringsY))
 			reduceT += rdone - h
+			// Compute phase: every node busy on the stencil kernel; the
+			// exchange phases left them idle (the NIC works, the cores
+			// wait).
 			clock.RunUntil(rdone)
 			grp.Transition(n, machine.PowerIdle, machine.PowerBusy)
 			grp.AddFlops(float64(n) * e15Kernel.Flops)
@@ -417,10 +291,17 @@ func runE15Par(ctx context.Context, cfg *Config, edges []int) (*stats.Table, err
 				float64(base) / float64(perRound)},
 			rec.Joules(), rec.GFlopsPerWatt())...)
 	}
-	e15Notes(tab, cfg)
+	tab.AddNote("halo exchange is one message per link and stays flat at any scale (the booster's design point)")
+	tab.AddNote("the global reduction's 3(k-1)-hop critical path grows as n^(1/3): global sync, not halos, erodes weak scaling")
+	tab.AddNote("expected shape: weak_eff decays gently to ~100k nodes; round time stays in the same millisecond decade")
+	if cfg.energyOn() {
+		tab.AddNote("energy: nodes idle during exchanges and busy during the kernel; GFlop/W erodes with weak efficiency as the reduction tail grows")
+	}
+	if !par {
+		return tab, nil
+	}
 	// Machine-readable kernel counters for the bench harness; absent
-	// from the rendered table so the text output stays comparable to
-	// the sequential kernel's.
+	// from the rendered table so the text output is the same at every K.
 	tab.SetSummary("domains", float64(cfg.domains()))
 	tab.SetSummary("kernel_windows", float64(kwin))
 	tab.SetSummary("kernel_executed", float64(kexec))

@@ -250,6 +250,101 @@ func TestNewDomainsValidation(t *testing.T) {
 	if _, err := NewDomains(topo, bad2, 1, []int{0, 32, 64}); !errors.Is(err, ErrPartitionUnsupported) {
 		t.Fatalf("error-rate rejection %v is not ErrPartitionUnsupported", err)
 	}
+	// One domain is the sequential fabric: no partition, so nothing to
+	// refuse — a crossbar, error injection and link outages all work.
+	if _, err := NewDomains(xb, InfiniBandFDR, 1, []int{0, 16}); err != nil {
+		t.Fatalf("one-domain crossbar rejected: %v", err)
+	}
+	one, err := NewDomains(topo, bad, 1, []int{0, 64})
+	if err != nil {
+		t.Fatalf("one-domain error injection rejected: %v", err)
+	}
+	sh := one.Shard(0)
+	sh.LinkFailed(3)
+	if !sh.LinkDown(3) {
+		t.Fatal("one-domain link outage not recorded")
+	}
+	sh.LinkRepaired(3)
+}
+
+// TestSingleDomainAutoMatchesNetwork: a one-domain Domains is the plain
+// network, down to the Auto fidelity proof — the same delivery times
+// and the same messages on the flow fast path.
+func TestSingleDomainAutoMatchesNetwork(t *testing.T) {
+	topo := topology.NewTorus3D(4, 4, 4)
+	items := randomTraffic(topo, 120, 7, 50*sim.Microsecond)
+	eng := sim.New()
+	net := MustNetwork(eng, topo, Extoll, 1)
+	net.SetFidelity(FidelityAuto)
+	doms := MustDomains(topo, Extoll, 1, []int{0, topo.Nodes()})
+	doms.SetFidelity(FidelityAuto)
+	want := make([]sim.Time, len(items))
+	got := make([]sim.Time, len(items))
+	for i, it := range items {
+		i, it := i, it
+		eng.At(it.start, func() {
+			net.Send(it.src, it.dst, it.size, func(at sim.Time, _ error) { want[i] = at })
+		})
+		sh := doms.ShardOf(it.src)
+		sh.Eng.At(it.start, func() {
+			sh.Send(it.src, it.dst, it.size, func(at sim.Time, _ error) { got[i] = at })
+		})
+	}
+	eng.Run()
+	doms.Run()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("one-domain deliveries diverge from the plain network")
+	}
+	if net.Stats.FlowMessages == 0 {
+		t.Fatal("plain network never took the flow path; the probe proves nothing")
+	}
+	if st := doms.Stats(); st != net.Stats {
+		t.Fatalf("one-domain stats %+v, plain network %+v", st, net.Stats)
+	}
+}
+
+// TestFatTreeLeafDomainsMatchSequential: the leaf-aligned partition
+// machine.SlabBounds draws for the cluster fat tree must reproduce the
+// unpartitioned fabric's packet-model delivery times exactly on
+// uncontended cross-leaf traffic, at every leaf-dividing K.
+func TestFatTreeLeafDomainsMatchSequential(t *testing.T) {
+	const nodesPerLeaf, leaves, spines = 4, 8, 2
+	topo := topology.NewFatTree(nodesPerLeaf, leaves, spines)
+	nodes := topo.Nodes()
+	items := make([]trafficItem, nodes)
+	for i := range items {
+		items[i] = trafficItem{
+			start: sim.Time(i+1) * 50 * sim.Microsecond,
+			src:   topology.NodeID(i),
+			dst:   topology.NodeID((i + 3*nodesPerLeaf) % nodes),
+			size:  256 + 64*i,
+		}
+	}
+	want := runSequentialTraffic(topo, InfiniBandFDR, FidelityPacket, items)
+	for _, k := range []int{2, 4, 8} {
+		doms := MustDomains(topo, InfiniBandFDR, 1, evenBounds(nodes, k)) // leaf-aligned: k divides leaves
+		doms.SetFidelity(FidelityPacket)
+		got := make([]sim.Time, len(items))
+		for i, it := range items {
+			i, it := i, it
+			sh := doms.ShardOf(it.src)
+			sh.Eng.At(it.start, func() {
+				sh.Send(it.src, it.dst, it.size, func(at sim.Time, err error) {
+					if err != nil {
+						t.Error(err)
+					}
+					got[i] = at
+				})
+			})
+		}
+		doms.Run()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("K=%d fat-tree deliveries diverge from sequential", k)
+		}
+		if doms.Stats().CrossMessages == 0 {
+			t.Fatalf("K=%d: cross-leaf pattern produced no cross-domain messages", k)
+		}
+	}
 }
 
 // TestFatTreeDomainsConservesTraffic mirrors the torus conservation

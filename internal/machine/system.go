@@ -207,47 +207,26 @@ func BoosterFabric(eng *sim.Engine, x, y, z int, fid fabric.Fidelity, seed uint6
 // routing resolves X and Y inside a slab, so intra-slab traffic stays
 // domain-local), each simulated by its own engine under conservative
 // window synchronization. k is clamped to the number of z planes; the
-// effective domain count is Domains() on the result.
+// effective domain count is Domains() on the result, and k <= 1 is the
+// sequential fabric on the cluster's single engine.
 func BoosterFabricPar(x, y, z, k int, fid fabric.Fidelity, seed uint64) (*fabric.Domains, *topology.Torus3D) {
 	tor := topology.NewTorus3D(x, y, z)
-	if k > z {
-		k = z
-	}
-	if k < 1 {
-		k = 1
-	}
-	bounds := make([]int, k+1)
-	for d := 0; d <= k; d++ {
-		bounds[d] = (d * z / k) * x * y
-	}
-	doms := fabric.MustDomains(tor, fabric.Extoll, seed, bounds)
+	doms := fabric.MustDomains(tor, fabric.Extoll, seed, SlabBounds(z, x*y, k))
 	doms.SetFidelity(fid)
 	return doms, tor
 }
 
-// ClusterFabricPar builds the InfiniBand fat tree of a cluster machine
-// as a spatially partitioned fabric for the parallel kernel: the node
-// space splits into at most k leaf-aligned ranges (the fat tree's
-// link-ownership map anchors each leaf's switch links to the leaf's
-// first node, so a route's links always belong to the two endpoint
-// domains), each simulated by its own engine under conservative window
-// synchronization. k is clamped to the number of leaves; the effective
-// domain count is Domains() on the result.
-func ClusterFabricPar(nodesPerLeaf, leaves, spines, k int, fid fabric.Fidelity, seed uint64) (*fabric.Domains, *topology.FatTree) {
-	ft := topology.NewFatTree(nodesPerLeaf, leaves, spines)
-	if k > leaves {
-		k = leaves
-	}
-	if k < 1 {
-		k = 1
-	}
+// SlabBounds splits units equal blocks of unitNodes consecutive nodes
+// — torus z planes, fat-tree leaves — into at most k contiguous
+// domains of whole blocks, as fabric.NewDomains bounds. k is clamped
+// to [1, units].
+func SlabBounds(units, unitNodes, k int) []int {
+	k = max(min(k, units), 1)
 	bounds := make([]int, k+1)
-	for d := 0; d <= k; d++ {
-		bounds[d] = (d * leaves / k) * nodesPerLeaf
+	for d := range bounds {
+		bounds[d] = (d * units / k) * unitNodes
 	}
-	doms := fabric.MustDomains(ft, fabric.InfiniBandFDR, seed, bounds)
-	doms.SetFidelity(fid)
-	return doms, ft
+	return bounds
 }
 
 // KernelTime is a convenience that evaluates k on the system's booster
