@@ -99,20 +99,20 @@ func e15HaloSlab(net *fabric.Network, tor *topology.Torus3D, lo, hi int, cb func
 // ring[0], one message at a time, then calls done. On a shard, every
 // sender ring[1:] must be owned by net; ring[0] may live on the slab
 // below (a send's link belongs to its source, so the boundary hop is
-// still shard-local).
+// still shard-local). One delivery callback serves every hop.
 func e15ChainSeg(net *fabric.Network, ring []topology.NodeID, done func()) {
 	i := len(ring) - 1
-	var step func()
-	step = func() {
+	var hop func(sim.Time, error)
+	hop = func(sim.Time, error) {
 		if i == 0 {
 			done()
 			return
 		}
 		from, to := ring[i], ring[i-1]
 		i--
-		net.Send(from, to, e15ReduceBytes, func(sim.Time, error) { step() })
+		net.Send(from, to, e15ReduceBytes, hop)
 	}
-	step()
+	hop(0, nil)
 }
 
 // runE15 runs the sweep over K domain engines under conservative

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -191,14 +192,14 @@ func TestSegmentPartition(t *testing.T) {
 	for _, size := range []int{0, 1, 2047, 2048, 2049, 1 << 20} {
 		segs := net.segment(size)
 		total := 0
-		for _, s := range segs {
-			total += s
+		for i := 0; i < segs.packets; i++ {
+			total += segs.size(i)
 		}
 		if total != size {
 			t.Fatalf("segments of %d sum to %d", size, total)
 		}
-		if len(segs) > net.P.maxPackets() {
-			t.Fatalf("size %d produced %d segments", size, len(segs))
+		if segs.packets > net.P.maxPackets() {
+			t.Fatalf("size %d produced %d segments", size, segs.packets)
 		}
 	}
 }
@@ -344,7 +345,7 @@ func TestLinkOutageDelaysThenDelivers(t *testing.T) {
 	tClean := send(t, engC, netC, 0, 2, 4096)
 
 	eng, net := newTestNet(t, topo, p)
-	route := topo.Route(0, 2)
+	route := topo.AppendRoute(nil, 0, 2)
 	net.LinkFailed(int(route[0]))
 	if !net.LinkDown(route[0]) {
 		t.Fatal("link not marked down")
@@ -367,7 +368,7 @@ func TestLinkOutageExhaustsRetryBudget(t *testing.T) {
 	p := Extoll
 	p.MaxRetries = 3
 	eng, net := newTestNet(t, topo, p)
-	net.LinkFailed(int(topo.Route(0, 1)[0]))
+	net.LinkFailed(int(topo.AppendRoute(nil, 0, 1)[0]))
 	var gotErr error
 	net.Send(0, 1, 128, func(_ sim.Time, err error) { gotErr = err })
 	eng.Run()
@@ -391,4 +392,38 @@ func BenchmarkNetworkSend(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+// TestSendRejectsBadEndpoints checks that an out-of-range endpoint
+// panics inside Send itself — with routing's "topology: node … out of
+// range" message — rather than later, when the message is injected.
+// Loopback sends and every fidelity are covered.
+func TestSendRejectsBadEndpoints(t *testing.T) {
+	for _, topo := range []topology.Topology{
+		topology.NewTorus3D(2, 2, 2),
+		topology.NewFatTree(4, 2, 2),
+	} {
+		for _, fid := range []Fidelity{FidelityPacket, FidelityFlow, FidelityAuto} {
+			for _, ends := range [][2]topology.NodeID{{-1, 0}, {0, 8}, {8, 8}, {-1, -1}} {
+				eng, net := newTestNet(t, topo, Extoll)
+				net.SetFidelity(fid)
+				msg := func() (msg string) {
+					defer func() {
+						if r := recover(); r != nil {
+							msg = fmt.Sprint(r)
+						}
+					}()
+					net.Send(ends[0], ends[1], 64, func(sim.Time, error) {})
+					return ""
+				}()
+				if !strings.Contains(msg, "topology: node ") || !strings.Contains(msg, " out of range [0,8) in "+topo.Name()) {
+					t.Errorf("%s %v send %d->%d: panic %q, want topology's out-of-range message",
+						topo.Name(), fid, ends[0], ends[1], msg)
+				}
+				if eng.Pending() != 0 {
+					t.Errorf("%s %v send %d->%d left %d events queued", topo.Name(), fid, ends[0], ends[1], eng.Pending())
+				}
+			}
+		}
+	}
 }

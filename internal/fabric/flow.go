@@ -97,11 +97,9 @@ func (n *Network) FidelityLevel() Fidelity { return n.fidelity }
 // reservation), the per-link busy-until times, and the delivery time.
 // The arithmetic mirrors the packet model's pipelined store-and-
 // forward recurrence, so with idle links the two agree exactly.
-func (n *Network) flowPlan(route []topology.LinkID, segs []int) (starts []sim.Time, total sim.Time, delivery sim.Time) {
-	ser0 := n.P.serTime(segs[0])
-	for _, s := range segs {
-		total += n.P.serTime(s)
-	}
+func (n *Network) flowPlan(route []topology.LinkID, segs segments) (starts []sim.Time, total sim.Time, delivery sim.Time) {
+	ser0 := n.P.serTime(segs.size(0))
+	total = n.serTotal(segs)
 	perHop := n.P.RouterDelay + n.P.LinkLatency
 	h := n.Eng.Now()
 	starts = n.flowStarts[:0]
@@ -120,9 +118,9 @@ func (n *Network) flowPlan(route []topology.LinkID, segs []int) (starts []sim.Ti
 
 // commitFlow books the planned trajectory: link reservations, the
 // same utilisation statistics the packet model records, and a single
-// typed completion event.
-func (n *Network) commitFlow(route []topology.LinkID, size int,
-	starts []sim.Time, total, delivery sim.Time, done func(at sim.Time, err error)) {
+// typed completion event for the message in slot.
+func (n *Network) commitFlow(route []topology.LinkID, slot int64, size int,
+	starts []sim.Time, total, delivery sim.Time) {
 	for k, l := range route {
 		n.flowFree[n.li(l)] = starts[k] + total
 		n.flowBusy[n.li(l)] += total
@@ -134,33 +132,7 @@ func (n *Network) commitFlow(route []topology.LinkID, size int,
 		// segment, keeping energy fidelity-invariant.
 		n.transferJ += n.energy.TransferJ(size, len(route))
 	}
-	id := int64(len(n.flows))
-	n.flows = append(n.flows, flowDone{size: size, fn: done})
-	n.Eng.Schedule(delivery, (*flowCompleter)(n), id, 0)
-}
-
-// flowDone is one pending flow completion.
-type flowDone struct {
-	size int
-	fn   func(at sim.Time, err error)
-}
-
-// flowCompleter dispatches flow completion events without a closure
-// per message: the event argument indexes the pending-flow table.
-type flowCompleter Network
-
-// OnEvent implements sim.Handler.
-func (fc *flowCompleter) OnEvent(now sim.Time, id, _ int64) {
-	n := (*Network)(fc)
-	f := n.flows[id]
-	n.flows[id] = flowDone{}
-	n.flowsDone++
-	if n.flowsDone == len(n.flows) {
-		n.flows = n.flows[:0]
-		n.flowsDone = 0
-	}
-	n.Stats.BytesDelivered += uint64(f.size)
-	f.fn(now, nil)
+	n.Eng.Schedule(delivery, (*msgEvents)(n), slot, evDeliver)
 }
 
 // routeFaultFree reports whether the flow model may represent a

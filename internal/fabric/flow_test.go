@@ -170,7 +170,7 @@ func TestFlowFallsBackUnderFaults(t *testing.T) {
 	eng := sim.New()
 	net := MustNetwork(eng, topo, p, 1)
 	net.SetFidelity(FidelityFlow)
-	route := topo.Route(0, 2)
+	route := topo.AppendRoute(nil, 0, 2)
 	net.LinkFailed(int(route[0]))
 	eng.At(50*sim.Microsecond, func() { net.LinkRepaired(int(route[0])) })
 	var at sim.Time
@@ -246,5 +246,56 @@ func BenchmarkFlowVsPacketTransfer(b *testing.B) {
 			}
 			eng.Run()
 		})
+	}
+}
+
+// TestFlowSendAllocs checks that a flow-fidelity Send allocates
+// nothing per message once the network is warm: the message parks in
+// the message table, injection and completion are typed events, the
+// route goes into a scratch buffer and the events come from the
+// engine's free list. Each batch is a six-neighbour halo exchange run
+// to quiescence.
+func TestFlowSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tor := topology.NewTorus3D(4, 4, 4)
+	eng := sim.New()
+	net := MustNetwork(eng, tor, Extoll, 1)
+	net.SetFidelity(FidelityFlow)
+	delivered := 0
+	done := func(_ sim.Time, err error) {
+		if err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		delivered++
+	}
+	batch := func() {
+		for id := 0; id < tor.Nodes(); id++ {
+			src := topology.NodeID(id)
+			x, y, z := tor.Coord(src)
+			for _, nb := range [...]topology.NodeID{
+				tor.ID(x+1, y, z), tor.ID(x-1, y, z),
+				tor.ID(x, y+1, z), tor.ID(x, y-1, z),
+				tor.ID(x, y, z+1), tor.ID(x, y, z-1),
+			} {
+				net.Send(src, nb, 2048, done)
+			}
+		}
+		eng.Run()
+	}
+	batch() // warm the message table, event slabs and calendar
+	msgs := 6 * tor.Nodes()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, batch)
+	if per := allocs / float64(msgs); per != 0 {
+		t.Fatalf("%.0f allocations per batch of %d messages (%.3f per message), want 0", allocs, msgs, per)
+	}
+	// One warm-up batch here, one inside AllocsPerRun, then the runs.
+	if want := (runs + 2) * msgs; delivered != want || net.Stats.FlowMessages != uint64(want) {
+		t.Fatalf("delivered %d, flow messages %d, want %d", delivered, net.Stats.FlowMessages, want)
+	}
+	if net.msgs.n > int64(msgs) {
+		t.Fatalf("message table grew to %d slots for %d messages in flight", net.msgs.n, msgs)
 	}
 }

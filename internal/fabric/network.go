@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -59,15 +60,20 @@ type Network struct {
 	slot  []int32
 	owned []topology.LinkID
 
+	// msgs holds each message from its Send until its delivery or its
+	// handoff to the packet model; the slot is the argument of the
+	// message's typed events. route is the scratch buffer Send and
+	// injection route into.
+	msgs  msgTable
+	route []topology.LinkID
+
 	// Flow fast-path state (see flow.go): the configured fidelity,
-	// the per-link reservation ledger, a scratch buffer for planned
-	// hop start times, and the pending flow-completion table.
+	// the per-link reservation ledger and a scratch buffer for planned
+	// hop start times.
 	fidelity   Fidelity
 	flowFree   []sim.Time
 	flowBusy   []sim.Time
 	flowStarts []sim.Time
-	flows      []flowDone
-	flowsDone  int
 
 	// energy is the electrical model; transferJ accumulates per-byte
 	// link-traversal energy as delivery events fire. Both the packet
@@ -206,47 +212,65 @@ func (n *Network) MaxLinkUtilisation() float64 {
 // every link's serialization resource. This captures both the
 // pipelining of large transfers and link contention between concurrent
 // messages.
+//
+// Send parks the message in the network's message table and schedules
+// a typed injection event for it, so on the flow path a message costs
+// no allocation beyond what the caller's done closure costs.
 func (n *Network) Send(src, dst topology.NodeID, size int, done func(at sim.Time, err error)) {
 	if size < 0 {
 		panic("fabric: negative message size")
 	}
+	// Routing waits for injection; reject bad endpoints here, where
+	// the caller passed them.
+	topology.CheckNode(n.Topo, src)
+	topology.CheckNode(n.Topo, dst)
 	n.Stats.Messages++
 	if n.Obs.Enabled() {
 		done = n.obsWrap(src, dst, size, done)
 	}
-	route := n.Topo.Route(src, dst)
-	if len(route) == 0 {
+	if src == dst {
 		// Loopback: only the software overheads apply.
-		n.Eng.After(n.P.SendOverhead+n.P.RecvOverhead, func() {
-			n.Stats.BytesDelivered += uint64(size)
-			done(n.Eng.Now(), nil)
-		})
+		slot := n.msgs.put(message{size: size, done: done})
+		n.Eng.ScheduleAfter(n.P.SendOverhead+n.P.RecvOverhead, (*msgEvents)(n), slot, evDeliver)
 		return
 	}
 	segs := n.segment(size)
-	n.Stats.Packets += uint64(len(segs))
-	if n.part != nil && !n.routeLocal(route) {
-		n.crossSend(dst, route, segs, size, done)
-		return
-	}
-	n.Eng.After(n.P.SendOverhead, func() {
-		// The fidelity decision happens at injection time (after the
-		// send overhead), when the route and event-queue state that
-		// the Auto proof needs are current. Fault-affected routes are
-		// rejected before any planning work.
-		if (n.fidelity == FidelityFlow || n.fidelity == FidelityAuto) && n.routeFaultFree(route) {
-			starts, total, delivery := n.flowPlan(route, segs)
-			if n.fidelity == FidelityFlow || n.autoQuiescent(route, delivery) {
-				if n.Obs.Enabled() {
-					n.Obs.Instant(obs.LaneNodes+int(src), "fabric", "flow-commit",
-						n.Eng.Now(), obs.KV{K: "dst", V: int(dst)}, obs.KV{K: "bytes", V: size})
-				}
-				n.commitFlow(route, size, starts, total, delivery, done)
-				return
-			}
+	n.Stats.Packets += uint64(segs.packets)
+	if n.part != nil {
+		n.route = n.Topo.AppendRoute(n.route[:0], src, dst)
+		if !n.routeLocal(n.route) {
+			n.crossSend(dst, len(n.route), segs, size, done)
+			return
 		}
-		n.packetSend(route, segs, size, done)
-	})
+	}
+	slot := n.msgs.put(message{src: src, dst: dst, size: size, done: done})
+	n.Eng.ScheduleAfter(n.P.SendOverhead, (*msgEvents)(n), slot, evInject)
+}
+
+// inject runs when a message's send overhead has elapsed. The fidelity
+// decision happens here, when the route and event-queue state that the
+// Auto proof needs are current. Fault-affected routes are rejected
+// before any planning work. A flow keeps its slot until its completion
+// event; a packet-model message leaves the table here.
+func (n *Network) inject(slot int64) {
+	m := *n.msgs.at(slot)
+	route := n.Topo.AppendRoute(n.route[:0], m.src, m.dst)
+	n.route = route
+	segs := n.segment(m.size)
+	if (n.fidelity == FidelityFlow || n.fidelity == FidelityAuto) && n.routeFaultFree(route) {
+		starts, total, delivery := n.flowPlan(route, segs)
+		if n.fidelity == FidelityFlow || n.autoQuiescent(route, delivery) {
+			if n.Obs.Enabled() {
+				n.Obs.Instant(obs.LaneNodes+int(m.src), "fabric", "flow-commit",
+					n.Eng.Now(), obs.KV{K: "dst", V: int(m.dst)}, obs.KV{K: "bytes", V: m.size})
+			}
+			n.commitFlow(route, slot, m.size, starts, total, delivery)
+			return
+		}
+	}
+	n.msgs.take(slot)
+	// The packet chain's closures outlive the scratch buffer.
+	n.packetSend(slices.Clone(route), segs, m.size, m.done)
 }
 
 // obsWrap interposes on a Send completion callback to emit the
@@ -268,9 +292,9 @@ func (n *Network) obsWrap(src, dst topology.NodeID, size int,
 
 // packetSend injects one message into the exact per-packet model:
 // every segment contends for every link of the route.
-func (n *Network) packetSend(route []topology.LinkID, segs []int, size int,
+func (n *Network) packetSend(route []topology.LinkID, segs segments, size int,
 	done func(at sim.Time, err error)) {
-	remaining := len(segs)
+	remaining := segs.packets
 	failed := false
 	finish := func(err error) {
 		if err != nil && !failed {
@@ -286,31 +310,36 @@ func (n *Network) packetSend(route []topology.LinkID, segs []int, size int,
 			})
 		}
 	}
-	for _, s := range segs {
-		n.forward(route, 0, s, finish)
+	for i := 0; i < segs.packets; i++ {
+		n.forward(route, 0, segs.size(i), finish)
 	}
 }
 
+// segments is how a message is split: packets pipelined segments, the
+// first rem of them base+1 bytes long and the rest base bytes.
+type segments struct{ packets, base, rem int }
+
 // segment splits size bytes into at most maxPackets segments of at
 // least MTU bytes each (except possibly the last).
-func (n *Network) segment(size int) []int {
+func (n *Network) segment(size int) segments {
 	if size == 0 {
-		return []int{0}
+		return segments{packets: 1}
 	}
-	packets := (size + n.P.MTU - 1) / n.P.MTU
-	if packets > n.P.maxPackets() {
-		packets = n.P.maxPackets()
+	packets := min((size+n.P.MTU-1)/n.P.MTU, n.P.maxPackets())
+	return segments{packets: packets, base: size / packets, rem: size % packets}
+}
+
+// size returns the length of segment i.
+func (s segments) size(i int) int {
+	if i < s.rem {
+		return s.base + 1
 	}
-	segs := make([]int, packets)
-	base := size / packets
-	rem := size % packets
-	for i := range segs {
-		segs[i] = base
-		if i < rem {
-			segs[i]++
-		}
-	}
-	return segs
+	return s.base
+}
+
+// serTotal returns the summed serialization time of every segment.
+func (n *Network) serTotal(s segments) sim.Time {
+	return sim.Time(s.rem)*n.P.serTime(s.base+1) + sim.Time(s.packets-s.rem)*n.P.serTime(s.base)
 }
 
 // forward moves one segment across route[hop:]. Each hop serializes on
@@ -430,19 +459,18 @@ func (n *Network) ObsLinkUtil() {
 // and propagation delays + pipelined serialization. It matches what
 // Send reports when nothing else contends.
 func (n *Network) ZeroLoadLatency(src, dst topology.NodeID, size int) sim.Time {
-	route := n.Topo.Route(src, dst)
+	return n.zeroLoad(topology.Hops(n.Topo, src, dst), n.segment(size))
+}
+
+// zeroLoad is ZeroLoadLatency for a hops-long route. Pipelined
+// store-and-forward: the first segment pays every hop; the remaining
+// segments stream behind on the bottleneck (uniform links, so any
+// hop).
+func (n *Network) zeroLoad(hops int, segs segments) sim.Time {
 	t := n.P.SendOverhead + n.P.RecvOverhead
-	if len(route) == 0 {
+	if hops == 0 {
 		return t
 	}
-	segs := n.segment(size)
-	// Pipelined store-and-forward: first segment pays every hop;
-	// remaining segments stream behind on the bottleneck (uniform
-	// links, so any hop).
-	first := segs[0]
-	t += sim.Time(len(route)) * (n.P.RouterDelay + n.P.LinkLatency + n.P.serTime(first))
-	for _, s := range segs[1:] {
-		t += n.P.serTime(s)
-	}
-	return t
+	first := n.P.serTime(segs.size(0))
+	return t + sim.Time(hops)*(n.P.RouterDelay+n.P.LinkLatency+first) + n.serTotal(segs) - first
 }

@@ -409,7 +409,7 @@ func TestFatTreeLinkOwnerPartition(t *testing.T) {
 	for s := 0; s < f.Nodes(); s++ {
 		for d := 0; d < f.Nodes(); d++ {
 			src, dst := topology.NodeID(s), topology.NodeID(d)
-			route := f.Route(src, dst)
+			route := f.AppendRoute(nil, src, dst)
 			if len(route) == 0 {
 				continue
 			}

@@ -1,0 +1,7 @@
+//go:build race
+
+package fabric
+
+// raceEnabled reports a -race build: the race detector's
+// instrumentation allocates, so allocation-count assertions skip.
+const raceEnabled = true

@@ -298,7 +298,17 @@ func (c *calendar) resize(n int, now Time) {
 			width = 1
 		}
 	}
-	c.buckets = make([]bucket, n)
+	// Every event is off the ring now. Reuse the array's capacity, so
+	// a queue that repeatedly grows and drains (one burst per phase)
+	// stops allocating once it has reached its high-water size. Slots
+	// past n keep stale links; they are cleared when a later resize
+	// exposes them again.
+	if n <= cap(c.buckets) {
+		c.buckets = c.buckets[:n]
+		clear(c.buckets)
+	} else {
+		c.buckets = make([]bucket, n)
+	}
 	c.mask = n - 1
 	c.width = width
 	c.resizes++

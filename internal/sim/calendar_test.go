@@ -380,3 +380,87 @@ func TestPeekInterleavedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsPinned replays a fixed pattern of closure and typed
+// schedules, nested reschedules, cancellations and a second run over a
+// warm free list, and pins every scheduler counter. The values were
+// recorded when each fresh event was its own heap allocation; carving
+// fresh events from slabs must not move any of them, since Allocs and
+// Reused feed the printed pool hit rate.
+func TestStatsPinned(t *testing.T) {
+	e := New()
+	var follow handlerFunc
+	follow = func(now Time, a0, _ int64) {
+		if a0 > 0 {
+			e.ScheduleAfter(Time(a0)*Nanosecond, follow, a0-1, 0)
+		}
+	}
+	var toks []Token
+	for i := 0; i < 500; i++ {
+		i := i
+		e.At(Time(i*7%1000)*Nanosecond, func() {
+			if i%2 == 0 {
+				e.ScheduleAfter(50*Nanosecond, follow, int64(i%4), 0)
+			}
+		})
+		toks = append(toks, e.Schedule(Time(2000+i*3)*Nanosecond, follow, 1, 0))
+	}
+	for i := 0; i < len(toks); i += 5 {
+		e.Cancel(toks[i])
+	}
+	e.RunUntil(1500 * Nanosecond)
+	for i := 1; i < len(toks); i += 7 {
+		e.Cancel(toks[i])
+	}
+	e.Run()
+	for i := 0; i < 300; i++ {
+		tok := e.ScheduleAfter(Time(i%37)*Microsecond, follow, 2, 0)
+		if i%3 == 0 {
+			e.Cancel(tok)
+		}
+	}
+	e.Run()
+	want := Stats{
+		Executed:      2284,
+		Scheduled:     2542,
+		Cancelled:     258,
+		MaxQueueDepth: 1000,
+		Allocs:        1000,
+		Reused:        1542,
+		Buckets:       64,
+		BucketWidth:   322387 * Picosecond,
+		Resizes:       8,
+	}
+	if got := e.Stats(); got != want {
+		t.Fatalf("stats = %+v\nwant    %+v", got, want)
+	}
+}
+
+// TestScheduleAllocs checks the kernel's allocation contract: fresh
+// events come from slabs, a handful of allocations for thousands of
+// events, and a warm engine recycles every event and its calendar, so
+// typed schedules then allocate nothing.
+func TestScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const events = 10000
+	var e *Engine
+	h := handlerFunc(func(Time, int64, int64) {})
+	burst := func() {
+		for i := 0; i < events; i++ {
+			e.ScheduleAfter(Time(i%97)*Nanosecond, h, 0, 0)
+		}
+		e.Run()
+	}
+	cold := testing.AllocsPerRun(1, func() {
+		e = New()
+		burst()
+	})
+	if cold > 50 {
+		t.Fatalf("a fresh engine made %.0f allocations for %d events, want slabs (<= 50)", cold, events)
+	}
+	if warm := testing.AllocsPerRun(10, burst); warm != 0 {
+		t.Fatalf("a warm engine made %.0f allocations per %d-event burst, want 0", warm, events)
+	}
+}

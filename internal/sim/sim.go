@@ -4,10 +4,14 @@
 // The kernel is a calendar-queue simulator: callbacks are scheduled at
 // absolute virtual times and executed in nondecreasing time order.
 // Ties are broken by schedule order (a monotonically increasing
-// sequence number), which makes every run fully deterministic. Events
-// are pooled through a free list, and hot models can schedule typed
-// Handler events instead of closures, so the steady-state event loop
-// allocates nothing.
+// sequence number), which makes every run fully deterministic. Fired
+// and cancelled events are recycled through a per-engine free list;
+// when it is empty, fresh events are carved from per-engine slabs
+// (small at first, doubling up to a fixed cap) rather than allocated
+// one by one, and the calendar keeps its bucket array across resizes.
+// Hot models schedule typed Handler events instead of closures, so a
+// model that does so — the fabric's flow path, for one — runs its
+// steady-state event loop without allocating.
 //
 // Virtual time is kept as integer picoseconds so that latencies in the
 // nanosecond range and bandwidths in the GB/s range can be combined
@@ -104,7 +108,7 @@ type Stats struct {
 	Cancelled uint64
 	// MaxQueueDepth is the high-water mark of pending events.
 	MaxQueueDepth int
-	// Allocs counts events that came from the allocator, Reused those
+	// Allocs counts fresh events (taken from a slab), Reused those
 	// recycled through the free list: Reused/(Allocs+Reused) is the
 	// pool hit rate.
 	Allocs uint64
@@ -129,6 +133,11 @@ type Engine struct {
 	cancelled uint64
 	allocs    uint64
 	reused    uint64
+
+	// slab holds the fresh events not yet handed out; slabSize is the
+	// length of the last slab allocated.
+	slab     []Event
+	slabSize int
 
 	// probe, when set, observes the clock advancing: it runs before
 	// each event dispatches, with the new current time. It must not
@@ -176,7 +185,7 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 		ev.next = nil
 		e.reused++
 	} else {
-		ev = new(Event)
+		ev = e.fresh()
 		e.allocs++
 	}
 	e.seq++
@@ -188,6 +197,26 @@ func (e *Engine) schedule(t Time, fn func(), h Handler, a0, a1 int64) *Event {
 	ev.queued = true
 	ev.cancelled = false
 	e.cal.insert(ev, e.now)
+	return ev
+}
+
+// Slab sizes: an engine that schedules a handful of events pays for a
+// handful, a large one amortises allocation over maxSlab events.
+const (
+	minSlab = 8
+	maxSlab = 4096
+)
+
+// fresh hands out the next unused event of the current slab,
+// allocating a new slab — twice the previous one, up to maxSlab — when
+// it is exhausted.
+func (e *Engine) fresh() *Event {
+	if len(e.slab) == 0 {
+		e.slabSize = min(max(2*e.slabSize, minSlab), maxSlab)
+		e.slab = make([]Event, e.slabSize)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
 	return ev
 }
 

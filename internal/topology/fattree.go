@@ -91,25 +91,25 @@ func (f *FatTree) LinkOwner(l LinkID) NodeID {
 	return NodeID(leaf * f.NodesPerLeaf)
 }
 
-// Route implements Topology.
-func (f *FatTree) Route(src, dst NodeID) []LinkID {
+// AppendRoute implements Topology.
+func (f *FatTree) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 	validateNode(src, f.Nodes(), f.Name())
 	validateNode(dst, f.Nodes(), f.Name())
 	if src == dst {
-		return nil
+		return buf
 	}
 	sl, dl := f.Leaf(src), f.Leaf(dst)
 	if sl == dl {
 		// Same leaf: up to the leaf switch, straight back down.
-		return []LinkID{f.nodeUp(src), f.nodeDown(dst)}
+		return append(buf, f.nodeUp(src), f.nodeDown(dst))
 	}
 	sp := f.spineFor(dst)
-	return []LinkID{
+	return append(buf,
 		f.nodeUp(src),
 		f.leafToSpine(sl, sp),
 		f.spineToLeaf(dl, sp),
 		f.nodeDown(dst),
-	}
+	)
 }
 
 // Hops implements HopCounter: 2 links within a leaf, 4 across spines.
@@ -159,15 +159,15 @@ func (c *Crossbar) Nodes() int { return c.N }
 // Links implements Topology: one ingress and one egress link per node.
 func (c *Crossbar) Links() int { return 2 * c.N }
 
-// Route implements Topology: source egress port, destination ingress
-// port.
-func (c *Crossbar) Route(src, dst NodeID) []LinkID {
+// AppendRoute implements Topology: source egress port, destination
+// ingress port.
+func (c *Crossbar) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 	validateNode(src, c.N, c.Name())
 	validateNode(dst, c.N, c.Name())
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []LinkID{LinkID(2 * int(src)), LinkID(2*int(dst) + 1)}
+	return append(buf, LinkID(2*int(src)), LinkID(2*int(dst)+1))
 }
 
 // Hops implements HopCounter.

@@ -1,12 +1,38 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// appendAfterPrefix routes src->dst by appending to a non-empty
+// prefix of sentinel links (its length drawn from seed) and checks
+// that the prefix survives and the appended hops equal a fresh route.
+// It returns the fresh route.
+func appendAfterPrefix(t *testing.T, topo Topology, src, dst NodeID, seed uint16) []LinkID {
+	t.Helper()
+	want := topo.AppendRoute(nil, src, dst)
+	prefix := make([]LinkID, 1+int(seed)%4)
+	for i := range prefix {
+		prefix[i] = LinkID(-1 - i)
+	}
+	orig := slices.Clone(prefix)
+	got := topo.AppendRoute(prefix, src, dst)
+	if !slices.Equal(got[:len(orig)], orig) {
+		t.Fatalf("prefix clobbered: %v, want %v", got[:len(orig)], orig)
+	}
+	if !slices.Equal(got[len(orig):], want) {
+		t.Fatalf("appended hops %v != fresh route %v", got[len(orig):], want)
+	}
+	return want
+}
 
 // FuzzTorusRoute checks the torus routing invariants for arbitrary
 // shapes and endpoints: every route stays in bounds, walks the fabric
 // link-by-link from src to dst, respects dimension order (all X moves,
 // then Y, then Z, each dimension in one direction), and agrees with
-// the allocation-free hop counter.
+// the allocation-free hop counter. Appending to a non-empty buffer
+// leaves the buffer's prefix intact and appends the same hops.
 func FuzzTorusRoute(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(4), uint16(0), uint16(63))
 	f.Add(uint8(1), uint8(1), uint8(1), uint16(0), uint16(0))
@@ -18,7 +44,7 @@ func FuzzTorusRoute(f *testing.F) {
 		n := tor.Nodes()
 		src := NodeID(int(srcRaw) % n)
 		dst := NodeID(int(dstRaw) % n)
-		route := tor.Route(src, dst)
+		route := appendAfterPrefix(t, tor, src, dst, srcRaw^dstRaw)
 		if src == dst && len(route) != 0 {
 			t.Fatalf("loopback route not empty: %v", route)
 		}
@@ -56,7 +82,9 @@ func FuzzTorusRoute(f *testing.F) {
 
 // FuzzFatTreeRoute checks the fat-tree routing invariants: routes are
 // in bounds, have the up/down shape (2 links within a leaf, 4 across
-// spines), traverse distinct links, and agree with the hop counter.
+// spines), traverse distinct links, and agree with the hop counter;
+// appending to a non-empty buffer keeps its prefix and appends the
+// same hops.
 func FuzzFatTreeRoute(f *testing.F) {
 	f.Add(uint8(16), uint8(2), uint8(8), uint16(0), uint16(17))
 	f.Add(uint8(1), uint8(1), uint8(1), uint16(0), uint16(0))
@@ -66,7 +94,7 @@ func FuzzFatTreeRoute(f *testing.F) {
 		n := ft.Nodes()
 		src := NodeID(int(srcRaw) % n)
 		dst := NodeID(int(dstRaw) % n)
-		route := ft.Route(src, dst)
+		route := appendAfterPrefix(t, ft, src, dst, srcRaw^dstRaw)
 		if got, want := len(route), ft.Hops(src, dst); got != want {
 			t.Fatalf("route length %d != hops %d", got, want)
 		}

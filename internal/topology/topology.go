@@ -22,9 +22,10 @@ type Topology interface {
 	Nodes() int
 	// Links returns the number of unidirectional links.
 	Links() int
-	// Route returns the sequence of links a packet takes from src to
-	// dst. An empty route means src == dst (loopback).
-	Route(src, dst NodeID) []LinkID
+	// AppendRoute appends the sequence of links a packet takes from
+	// src to dst to buf and returns the extended slice; pass nil for a
+	// fresh route. Nothing is appended when src == dst (loopback).
+	AppendRoute(buf []LinkID, src, dst NodeID) []LinkID
 	// Name returns a short diagnostic name, e.g. "torus3d-4x4x4".
 	Name() string
 }
@@ -62,7 +63,7 @@ func Hops(t Topology, src, dst NodeID) int {
 	if hc, ok := t.(HopCounter); ok {
 		return hc.Hops(src, dst)
 	}
-	return len(t.Route(src, dst))
+	return len(t.AppendRoute(nil, src, dst))
 }
 
 // Diameter returns the maximum hop count over all node pairs. It is
@@ -96,6 +97,13 @@ func AvgHops(t Topology) float64 {
 		}
 	}
 	return float64(total) / float64(n*(n-1))
+}
+
+// CheckNode panics, with the message routing would give, when id is
+// not an endpoint of t. It lets callers that defer routing still
+// reject a bad endpoint where it was passed in.
+func CheckNode(t Topology, id NodeID) {
+	validateNode(id, t.Nodes(), t.Name())
 }
 
 // validateNode panics when id is outside [0, n); routing with a bad

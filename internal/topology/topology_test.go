@@ -19,7 +19,7 @@ func TestTorusCoordRoundTrip(t *testing.T) {
 
 func TestTorusSelfRoute(t *testing.T) {
 	tor := NewTorus3D(4, 4, 4)
-	if r := tor.Route(5, 5); len(r) != 0 {
+	if r := tor.AppendRoute(nil, 5, 5); len(r) != 0 {
 		t.Fatalf("self route not empty: %v", r)
 	}
 }
@@ -71,7 +71,7 @@ func TestTorusRouteConnectivity(t *testing.T) {
 		src := NodeID(int(s8) % n)
 		dst := NodeID(int(d8) % n)
 		cur := src
-		for _, l := range tor.Route(src, dst) {
+		for _, l := range tor.AppendRoute(nil, src, dst) {
 			from, to := tor.LinkEndpoints(l)
 			if from != cur {
 				return false
@@ -110,7 +110,7 @@ func abs(a int) int {
 func TestTorusDimensionOrdered(t *testing.T) {
 	tor := NewTorus3D(4, 4, 4)
 	src, dst := tor.ID(0, 0, 0), tor.ID(2, 2, 2)
-	route := tor.Route(src, dst)
+	route := tor.AppendRoute(nil, src, dst)
 	// Links must be grouped X, then Y, then Z.
 	phase := 0
 	for _, l := range route {
@@ -146,7 +146,7 @@ func TestTorusBisection(t *testing.T) {
 func TestFatTreeRoutes(t *testing.T) {
 	ft := NewFatTree(4, 3, 4) // 12 nodes
 	// Same node.
-	if r := ft.Route(0, 0); len(r) != 0 {
+	if r := ft.AppendRoute(nil, 0, 0); len(r) != 0 {
 		t.Fatalf("self route: %v", r)
 	}
 	// Same leaf: 2 hops.
@@ -179,7 +179,7 @@ func TestFatTreeLinkIDsDisjoint(t *testing.T) {
 	}
 	for s := 0; s < ft.Nodes(); s++ {
 		for d := 0; d < ft.Nodes(); d++ {
-			for _, l := range ft.Route(NodeID(s), NodeID(d)) {
+			for _, l := range ft.AppendRoute(nil, NodeID(s), NodeID(d)) {
 				reg(l)
 			}
 		}
@@ -196,7 +196,7 @@ func TestFatTreeSpineSpreading(t *testing.T) {
 	// Destinations on different leaves should use different spines.
 	spines := map[LinkID]bool{}
 	for d := 1; d < 4; d++ {
-		route := ft.Route(0, NodeID(d))
+		route := ft.AppendRoute(nil, 0, NodeID(d))
 		if len(route) != 4 {
 			t.Fatalf("route length %d", len(route))
 		}
@@ -212,7 +212,7 @@ func TestCrossbar(t *testing.T) {
 	if h := Hops(cb, 2, 5); h != 2 {
 		t.Fatalf("crossbar hops = %d, want 2", h)
 	}
-	if r := cb.Route(3, 3); len(r) != 0 {
+	if r := cb.AppendRoute(nil, 3, 3); len(r) != 0 {
 		t.Fatalf("self route: %v", r)
 	}
 	if d := Diameter(cb); d != 2 {
@@ -232,8 +232,8 @@ func TestAvgHopsTorusVsCrossbar(t *testing.T) {
 func TestValidatePanics(t *testing.T) {
 	tor := NewTorus3D(2, 2, 2)
 	for _, fn := range []func(){
-		func() { tor.Route(-1, 0) },
-		func() { tor.Route(0, 99) },
+		func() { tor.AppendRoute(nil, -1, 0) },
+		func() { tor.AppendRoute(nil, 0, 99) },
 		func() { tor.Coord(8) },
 	} {
 		func() {
@@ -250,10 +250,12 @@ func TestValidatePanics(t *testing.T) {
 func BenchmarkTorusRoute(b *testing.B) {
 	tor := NewTorus3D(8, 8, 8)
 	r := rng.New(1)
+	var buf []LinkID
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := NodeID(r.Intn(512))
 		dst := NodeID(r.Intn(512))
-		_ = tor.Route(src, dst)
+		buf = tor.AppendRoute(buf[:0], src, dst)
 	}
 }

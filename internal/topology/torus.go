@@ -96,37 +96,39 @@ func step(a, b, m int) int {
 	return bwd
 }
 
-// Route implements Topology using dimension-ordered shortest-path
-// routing: resolve X displacement first, then Y, then Z. Deterministic
-// and deadlock-free (the property EXTOLL's hardware routing relies on).
-func (t *Torus3D) Route(src, dst NodeID) []LinkID {
+// AppendRoute implements Topology using dimension-ordered
+// shortest-path routing: resolve X displacement first, then Y, then Z.
+// Deterministic and deadlock-free (the property EXTOLL's hardware
+// routing relies on).
+func (t *Torus3D) AppendRoute(buf []LinkID, src, dst NodeID) []LinkID {
 	validateNode(src, t.Nodes(), t.Name())
 	validateNode(dst, t.Nodes(), t.Name())
 	if src == dst {
-		return nil
+		return buf
 	}
 	sx, sy, sz := t.Coord(src)
 	dx, dy, dz := t.Coord(dst)
-	var route []LinkID
-	cx, cy, cz := sx, sy, sz
-	walk := func(cur *int, target, size, plus, minus int, coord func() NodeID) {
-		s := step(*cur, target, size)
-		for s != 0 {
-			dir := plus
-			inc := 1
-			if s < 0 {
-				dir = minus
-				inc = -1
-			}
-			route = append(route, t.linkFrom(coord(), dir))
-			*cur = mod(*cur+inc, size)
-			s -= inc
-		}
+	plane := t.X * t.Y
+	buf = t.walk(buf, sx, dx, t.X, sy*t.X+sz*plane, 1, DirXPlus)
+	buf = t.walk(buf, sy, dy, t.Y, dx+sz*plane, t.X, DirYPlus)
+	return t.walk(buf, sz, dz, t.Z, dx+dy*t.X, plane, DirZPlus)
+}
+
+// walk appends the shortest ring walk from coordinate cur to target
+// along one dimension of size m. The node at coordinate c is
+// base + c*stride; plus is the dimension's positive direction index,
+// plus+1 its negative one.
+func (t *Torus3D) walk(buf []LinkID, cur, target, m, base, stride, plus int) []LinkID {
+	s := step(cur, target, m)
+	dir, inc := plus, 1
+	if s < 0 {
+		dir, inc, s = plus+1, -1, -s
 	}
-	walk(&cx, dx, t.X, DirXPlus, DirXMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	walk(&cy, dy, t.Y, DirYPlus, DirYMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	walk(&cz, dz, t.Z, DirZPlus, DirZMinus, func() NodeID { return t.ID(cx, cy, cz) })
-	return route
+	for ; s > 0; s-- {
+		buf = append(buf, t.linkFrom(NodeID(base+cur*stride), dir))
+		cur = mod(cur+inc, m)
+	}
+	return buf
 }
 
 // Hops implements HopCounter: the dimension-ordered route length is
