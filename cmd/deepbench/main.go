@@ -16,6 +16,14 @@
 //	deepbench -bench 3 -json       # benchmark all, write BENCH_<id>.json
 //	deepbench -run E13 -trace t.json -metrics m.csv   # observability exports
 //	deepbench -store results -resume   # resumable sweep: skip stored points
+//
+// -store writes each finished point as the record deepd stores for the
+// job {"experiment": id} with the same run knobs: the same content key
+// (serve.JobSpec.ContentKey) and the same bytes (serve.ExperimentEntry).
+// A deepd booted on the directory serves a deepbench sweep from it, and
+// -resume replays points deepd computed. Stores written before
+// deepbench shared deepd's record hold points under another key; each
+// recomputes once, and deepstore prune reclaims the old records.
 package main
 
 import (
@@ -30,22 +38,14 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/deep"
 	"repro/internal/expt"
+	"repro/internal/serve"
 	"repro/internal/store"
 )
-
-// writeOnlyStore records finished points without ever answering a
-// lookup: -store without -resume persists a sweep for later resumption
-// but still recomputes everything this time.
-type writeOnlyStore struct{ inner deep.RunStore }
-
-func (w writeOnlyStore) LookupRun(string) ([]byte, bool) { return nil, false }
-func (w writeOnlyStore) StoreRun(key, experiment string, payload, text []byte) error {
-	return w.inner.StoreRun(key, experiment, payload, text)
-}
 
 // benchResult is the wire form of one BENCH_<id>.json file, consumed
 // by cmd/benchguard in CI to catch wall-clock regressions. Joules is
@@ -123,7 +123,7 @@ func timeBest(ctx context.Context, runner *deep.Runner, id string, reps int) (ti
 // either prints a table or writes BENCH_<key>.json files into dir.
 // A non-empty curve re-times each experiment at every listed domain
 // count and records the speedup relative to the first entry.
-func runBench(ctx context.Context, runner *deep.Runner, ids []string, reps int, asJSON bool, dir string, curve []int) error {
+func runBench(ctx context.Context, stdout io.Writer, runner *deep.Runner, ids []string, reps int, asJSON bool, dir string, curve []int) error {
 	if len(ids) == 0 {
 		ids = deep.ExperimentIDs()
 	}
@@ -190,26 +190,111 @@ func runBench(ctx context.Context, runner *deep.Runner, ids []string, reps int, 
 			if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s (%.2f ms/op)\n", path, res.MsPerOp)
+			fmt.Fprintf(stdout, "wrote %s (%.2f ms/op)\n", path, res.MsPerOp)
 		}
 		return nil
 	}
-	fmt.Printf("%-5s %-10s %5s %12s\n", "id", "fidelity", "runs", "ms/op")
+	fmt.Fprintf(stdout, "%-5s %-10s %5s %12s\n", "id", "fidelity", "runs", "ms/op")
 	for _, res := range results {
-		fmt.Printf("%-5s %-10s %5d %12.3f\n", res.ID, res.Fidelity, res.Runs, res.MsPerOp)
+		fmt.Fprintf(stdout, "%-5s %-10s %5d %12.3f\n", res.ID, res.Fidelity, res.Runs, res.MsPerOp)
 		for _, p := range res.Speedup {
 			line := fmt.Sprintf("      domains=%-3d %5s %12.3f  (x%.2f)", p.Domains, "", p.MsPerOp, p.Speedup)
 			if p.Windows > 0 {
 				line += fmt.Sprintf("  %d windows, %.0f%% blocked", p.Windows, 100*p.BlockedFrac)
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 	}
 	return nil
 }
 
+// runStored runs ids through the result store: each id is the deepd
+// job {"experiment": id} plus the run knobs, normalised and
+// content-keyed as deepd keys it. With resume, stored records answer
+// their points; the misses run in one Runner call, and each finished
+// point is written through as it completes, so a killed sweep keeps
+// what it finished. It returns the merged report in request order and
+// the number of points resumed.
+func runStored(ctx context.Context, stderr io.Writer, runner *deep.Runner, st *store.Store,
+	knobs serve.JobSpec, ids []string, resume bool) (*deep.Report, int, error) {
+	if len(ids) == 0 {
+		ids = deep.ExperimentIDs()
+	}
+	rep := &deep.Report{Results: make([]deep.RunResult, len(ids))}
+	specs := map[string]*serve.JobSpec{}
+	keys := map[string]string{}
+	var missed []string
+	var at []int
+	for i, id := range ids {
+		spec := knobs
+		spec.Experiment = id
+		if err := spec.Normalize(); err != nil {
+			return nil, 0, err
+		}
+		key, err := spec.ContentKey()
+		if err != nil {
+			return nil, 0, err
+		}
+		if resume {
+			if res, ok := lookupRun(st, key, id); ok {
+				rep.Results[i] = res
+				continue
+			}
+		}
+		specs[id], keys[id] = &spec, key
+		missed, at = append(missed, id), append(at, i)
+	}
+	if len(missed) == 0 {
+		// Run with no ids would run the whole registry.
+		return rep, len(ids), nil
+	}
+	var failed atomic.Int64
+	r := *runner
+	r.OnResult = func(res deep.RunResult) {
+		if res.Err != nil {
+			return
+		}
+		entry, err := serve.ExperimentEntry(keys[res.ID], res)
+		if err == nil {
+			err = st.Put(entry.StoreEntry(specs[res.ID]))
+		}
+		if err != nil {
+			failed.Add(1)
+		}
+	}
+	fresh, err := r.Run(ctx, missed...)
+	if fresh == nil {
+		return nil, 0, err
+	}
+	for j, res := range fresh.Results {
+		rep.Results[at[j]] = res
+	}
+	if n := failed.Load(); n > 0 {
+		fmt.Fprintf(stderr, "deepbench: %d store writes failed (results above are still fresh)\n", n)
+	}
+	return rep, len(ids) - len(missed), rep.Err()
+}
+
+// lookupRun decodes the record stored under key back into the run of
+// experiment id. A missing, undecodable or foreign record is a miss,
+// so the point simulates afresh. Hits are touched so pruning sees
+// resumed points as live.
+func lookupRun(st *store.Store, key, id string) (deep.RunResult, bool) {
+	e, ok, err := st.Get(key)
+	if err != nil || !ok {
+		return deep.RunResult{}, false
+	}
+	var p serve.ResultPayload
+	if json.Unmarshal(e.Result, &p) != nil || p.Experiment == nil || p.Experiment.ID != id || p.Experiment.Table == nil {
+		return deep.RunResult{}, false
+	}
+	st.Touch(key) //nolint:errcheck // advisory liveness marker
+	x := p.Experiment
+	return deep.RunResult{ID: x.ID, Title: x.Title, PaperRef: x.PaperRef, Table: x.Table}, true
+}
+
 // writeFile streams a report export into path.
-func writeFile(path string, write func(io.Writer) error) error {
+func writeFile(stderr io.Writer, path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -221,50 +306,62 @@ func writeFile(path string, write func(io.Writer) error) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	fmt.Fprintf(stderr, "wrote %s\n", path)
 	return nil
 }
 
-func main() {
+// run is the testable body of main: it parses args (without the
+// program name), runs the selected experiments and returns the process
+// exit code: 2 for a flag error, 1 for a refusal or a failed run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	// The run knobs bind straight into the spec every stored point is
+	// keyed by.
+	var knobs serve.JobSpec
+	fs := flag.NewFlagSet("deepbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Uint64Var(&knobs.Seed, "seed", 0, "override the published seed of seeded experiments (0: keep)")
+	fs.Float64Var(&knobs.Scale, "scale", 1, "scale factor for experiment workload sizes")
+	fs.StringVar(&knobs.Fidelity, "fidelity", "default", "fabric transfer model: default | packet | flow | auto")
+	fs.BoolVar(&knobs.Energy, "energy", false, "append joules / GFlop/W columns to every experiment (event-driven energy recorder)")
+	fs.IntVar(&knobs.Domains, "domains", 0, "simulation-kernel domains: 0/1 sequential, K>1 partitioned parallel kernel, -1 = GOMAXPROCS")
+	fs.IntVar(&knobs.MaxWindow, "window", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0/1: fixed windows)")
+	fs.IntVar(&knobs.MaxNodes, "maxnodes", 0, "bound sweep machine sizes; >103823 adds E15's million-node point (needs -domains >= 2)")
 	var (
-		runFlag      = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonFlag     = flag.Bool("json", false, "emit JSON instead of aligned tables")
-		listFlag     = flag.Bool("list", false, "list registered experiments and exit")
-		parallelFlag = flag.Int("parallel", 1, "number of experiments to run concurrently")
-		seedFlag     = flag.Uint64("seed", 0, "override the published seed of seeded experiments (0: keep)")
-		scaleFlag    = flag.Float64("scale", 1, "scale factor for experiment workload sizes")
-		fidelityFlag = flag.String("fidelity", "default", "fabric transfer model: default | packet | flow | auto")
-		energyFlag   = flag.Bool("energy", false, "append joules / GFlop/W columns to every experiment (event-driven energy recorder)")
-		benchFlag    = flag.Int("bench", 0, "benchmark mode: time each experiment over N repetitions (best-of)")
-		benchDirFlag = flag.String("benchdir", ".", "directory for BENCH_<id>.json files in -bench -json mode")
-		traceFlag    = flag.String("trace", "", "write a Chrome trace-event JSON of every run to this file")
-		metricsFlag  = flag.String("metrics", "", "write sampled metrics timeseries CSV to this file")
-		sampleFlag   = flag.Float64("sample", 0.1, "metrics sampling interval in virtual seconds (with -metrics)")
-		storeFlag    = flag.String("store", "", "persist finished points to an append-only store in this directory")
-		resumeFlag   = flag.Bool("resume", false, "skip points already in -store (resume a killed sweep)")
-		domainsFlag  = flag.Int("domains", 0, "simulation-kernel domains: 0/1 sequential, K>1 partitioned parallel kernel, -1 = GOMAXPROCS")
-		windowFlag   = flag.Int("window", 0, "adaptive window cap on the partitioned kernel: quiet windows widen up to N x lookahead (0/1: fixed windows)")
-		maxNodesFlag = flag.Int("maxnodes", 0, "bound sweep machine sizes; >103823 adds E15's million-node point (needs -domains >= 2)")
-		speedupFlag  = flag.String("speedup", "", "bench mode: comma-separated domain counts to re-time (e.g. 1,2,4,8); speedups are relative to the first")
+		runFlag      = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		csvFlag      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonFlag     = fs.Bool("json", false, "emit JSON instead of aligned tables")
+		listFlag     = fs.Bool("list", false, "list registered experiments and exit")
+		parallelFlag = fs.Int("parallel", 1, "number of experiments to run concurrently")
+		benchFlag    = fs.Int("bench", 0, "benchmark mode: time each experiment over N repetitions (best-of)")
+		benchDirFlag = fs.String("benchdir", ".", "directory for BENCH_<id>.json files in -bench -json mode")
+		traceFlag    = fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file")
+		metricsFlag  = fs.String("metrics", "", "write sampled metrics timeseries CSV to this file")
+		sampleFlag   = fs.Float64("sample", 0.1, "metrics sampling interval in virtual seconds (with -metrics)")
+		storeFlag    = fs.String("store", "", "persist finished points to an append-only store in this directory (deepd's record format)")
+		resumeFlag   = fs.Bool("resume", false, "skip points already in -store (resume a killed sweep)")
+		speedupFlag  = fs.String("speedup", "", "bench mode: comma-separated domain counts to re-time (e.g. 1,2,4,8); speedups are relative to the first")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "deepbench: "+format+"\n", args...)
+		return 1
+	}
 
-	fidelity, err := deep.ParseFidelity(*fidelityFlag)
+	fidelity, err := deep.ParseFidelity(knobs.Fidelity)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "deepbench: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 
 	if *listFlag {
 		for _, e := range deep.Experiments() {
-			fmt.Printf("%s  %-55s [%s]\n", e.ID, e.Title, e.PaperRef)
+			fmt.Fprintf(stdout, "%s  %-55s [%s]\n", e.ID, e.Title, e.PaperRef)
 		}
-		return
+		return 0
 	}
 	if *csvFlag && *jsonFlag {
-		fmt.Fprintln(os.Stderr, "deepbench: -csv and -json are mutually exclusive")
-		os.Exit(1)
+		return fail("-csv and -json are mutually exclusive")
 	}
 
 	var ids []string
@@ -274,15 +371,11 @@ func main() {
 		}
 	}
 	if *runFlag != "" && len(ids) == 0 {
-		fmt.Fprintf(os.Stderr, "deepbench: -run %q names no experiments (try -list)\n", *runFlag)
-		os.Exit(1)
+		return fail("-run %q names no experiments (try -list)", *runFlag)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	runner := &deep.Runner{Parallel: *parallelFlag, Seed: *seedFlag, Scale: *scaleFlag, Fidelity: fidelity, Energy: *energyFlag,
-		Domains: *domainsFlag, MaxWindow: *windowFlag, MaxNodes: *maxNodesFlag}
+	runner := &deep.Runner{Parallel: *parallelFlag, Seed: knobs.Seed, Scale: knobs.Scale, Fidelity: fidelity,
+		Energy: knobs.Energy, Domains: knobs.Domains, MaxWindow: knobs.MaxWindow, MaxNodes: knobs.MaxNodes}
 	runner.Tracing = *traceFlag != ""
 	if *metricsFlag != "" {
 		runner.MetricsEvery = *sampleFlag
@@ -291,78 +384,66 @@ func main() {
 	var curve []int
 	if *speedupFlag != "" {
 		if *benchFlag <= 0 {
-			fmt.Fprintln(os.Stderr, "deepbench: -speedup needs -bench (it is a timing curve)")
-			os.Exit(1)
+			return fail("-speedup needs -bench (it is a timing curve)")
 		}
 		for _, s := range strings.Split(*speedupFlag, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || k < 1 {
-				fmt.Fprintf(os.Stderr, "deepbench: -speedup %q: want positive domain counts\n", *speedupFlag)
-				os.Exit(1)
+				return fail("-speedup %q: want positive domain counts", *speedupFlag)
 			}
 			curve = append(curve, k)
 		}
 	}
 
 	if *resumeFlag && *storeFlag == "" {
-		fmt.Fprintln(os.Stderr, "deepbench: -resume needs -store (where would the finished points come from?)")
-		os.Exit(1)
+		return fail("-resume needs -store (where would the finished points come from?)")
 	}
+	var st *store.Store
 	if *storeFlag != "" {
 		switch {
 		case *benchFlag > 0:
-			fmt.Fprintln(os.Stderr, "deepbench: -store cannot be combined with -bench (stored points would skip the timed work)")
-			os.Exit(1)
+			return fail("-store cannot be combined with -bench (stored points would skip the timed work)")
 		case runner.Tracing || runner.MetricsEvery > 0:
-			fmt.Fprintln(os.Stderr, "deepbench: -store cannot be combined with -trace/-metrics (observability artifacts are not stored)")
-			os.Exit(1)
+			return fail("-store cannot be combined with -trace/-metrics (observability artifacts are not stored)")
 		}
-		st, err := store.Open(*storeFlag, store.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepbench: opening store: %v\n", err)
-			os.Exit(1)
+		if st, err = store.Open(*storeFlag, store.Options{}); err != nil {
+			return fail("opening store: %v", err)
 		}
 		defer st.Close()
-		runner.Store = store.RunView{Store: st}
-		if !*resumeFlag {
-			runner.Store = writeOnlyStore{inner: runner.Store}
-		}
 	}
 
 	if *benchFlag > 0 {
 		if runner.Tracing || runner.MetricsEvery > 0 {
-			fmt.Fprintln(os.Stderr, "deepbench: -trace/-metrics cannot be combined with -bench (observation would skew the timings)")
-			os.Exit(1)
+			return fail("-trace/-metrics cannot be combined with -bench (observation would skew the timings)")
 		}
-		if err := runBench(ctx, runner, ids, *benchFlag, *jsonFlag, *benchDirFlag, curve); err != nil {
-			fmt.Fprintf(os.Stderr, "deepbench: %v\n", err)
-			os.Exit(1)
+		if err := runBench(ctx, stdout, runner, ids, *benchFlag, *jsonFlag, *benchDirFlag, curve); err != nil {
+			return fail("%v", err)
 		}
-		return
+		return 0
 	}
 
-	rep, runErr := runner.Run(ctx, ids...)
+	var rep *deep.Report
+	var runErr error
+	if st == nil {
+		rep, runErr = runner.Run(ctx, ids...)
+	} else {
+		var resumed int
+		rep, resumed, runErr = runStored(ctx, stderr, runner, st, knobs, ids, *resumeFlag)
+		if rep != nil && *resumeFlag {
+			fmt.Fprintf(stderr, "deepbench: resumed %d of %d points from %s\n", resumed, len(rep.Results), *storeFlag)
+		}
+	}
 	if rep == nil {
-		fmt.Fprintf(os.Stderr, "deepbench: %v (try -list)\n", runErr)
-		os.Exit(1)
-	}
-	if *resumeFlag {
-		fmt.Fprintf(os.Stderr, "deepbench: resumed %d of %d points from %s\n",
-			rep.StoreHits, len(rep.Results), *storeFlag)
-	}
-	if rep.StoreErrors > 0 {
-		fmt.Fprintf(os.Stderr, "deepbench: %d store writes failed (results above are still fresh)\n", rep.StoreErrors)
+		return fail("%v (try -list)", runErr)
 	}
 	if *traceFlag != "" {
-		if err := writeFile(*traceFlag, rep.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "deepbench: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(stderr, *traceFlag, rep.WriteChromeTrace); err != nil {
+			return fail("%v", err)
 		}
 	}
 	if *metricsFlag != "" {
-		if err := writeFile(*metricsFlag, rep.WriteMetricsCSV); err != nil {
-			fmt.Fprintf(os.Stderr, "deepbench: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(stderr, *metricsFlag, rep.WriteMetricsCSV); err != nil {
+			return fail("%v", err)
 		}
 	}
 
@@ -373,14 +454,19 @@ func main() {
 	case *jsonFlag:
 		sink = deep.JSONSink{Indent: true}
 	}
-	if err := sink.Write(os.Stdout, rep); err != nil {
-		fmt.Fprintf(os.Stderr, "deepbench: %v\n", err)
-		os.Exit(1)
+	if err := sink.Write(stdout, rep); err != nil {
+		return fail("%v", err)
 	}
 	// JSON reports carry per-run errors inline too, but the exit
 	// status reflects failure in every format.
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "deepbench: %v\n", runErr)
-		os.Exit(1)
+		return fail("%v", runErr)
 	}
+	return 0
+}
+
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/expt"
 	"repro/internal/fabric"
@@ -72,9 +71,6 @@ type RunResult struct {
 	PaperRef string
 	Table    *Table
 	Err      error
-	// FromStore marks a result loaded from Runner.Store instead of
-	// simulated — a skipped point of a resumed sweep.
-	FromStore bool
 }
 
 // Report is an ordered collection of experiment results, in the order
@@ -82,12 +78,6 @@ type RunResult struct {
 // execution interleaving.
 type Report struct {
 	Results []RunResult
-
-	// StoreHits counts experiments answered from Runner.Store without
-	// simulating — the skip count of a resumed sweep. StoreErrors
-	// counts failed store writes (the runs themselves still succeed).
-	StoreHits   int
-	StoreErrors int
 
 	// obs is the observability hub the runs recorded into; nil unless
 	// the Runner enabled tracing or metrics.
@@ -180,13 +170,6 @@ type Runner struct {
 	// starts — live progress for long sweeps. Calls may come from
 	// concurrent worker goroutines.
 	Progress func(label string)
-	// Store, when non-nil, makes sweeps resumable: each experiment's
-	// content hash (id + canonical run knobs) is looked up before
-	// simulating, hits are returned from the store (byte-identical to
-	// a fresh run), and fresh results are written through. Traced or
-	// metrics-sampled runs bypass the store — their artifacts live on
-	// the observer, not in the stored payload.
-	Store RunStore
 }
 
 // Run executes the named experiments (all of them, in registry order,
@@ -225,13 +208,6 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 	}
 	workers := max(r.Parallel, 1)
 
-	// Resumable sweeps: consult the store per experiment under its
-	// canonical run knobs. Traced/sampled runs bypass it (their
-	// artifacts are not in the stored payload).
-	useStore := r.Store != nil && !r.Tracing && r.MetricsEvery <= 0
-	canon := cfg.Spec()
-	var storeHits, storeErrors atomic.Int64
-
 	rep := &Report{Results: make([]RunResult, len(exps)), obs: o}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -254,21 +230,6 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 				finish()
 				return
 			}
-			var key string
-			if useStore {
-				if k, kerr := runKey(e.ID, canon); kerr == nil {
-					key = k
-					if payload, ok := r.Store.LookupRun(key); ok {
-						if tab, ok := decodeStoredRun(payload, e.ID); ok {
-							rep.Results[i].Table = tab
-							rep.Results[i].FromStore = true
-							storeHits.Add(1)
-							finish()
-							return
-						}
-					}
-				}
-			}
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
@@ -281,20 +242,11 @@ func (r *Runner) Run(ctx context.Context, ids ...string) (*Report, error) {
 				rep.Results[i].Err = err
 			} else {
 				rep.Results[i].Table = fromStats(tab)
-				if key != "" {
-					if payload, text, perr := encodeStoredRun(rep.Results[i]); perr != nil {
-						storeErrors.Add(1)
-					} else if serr := r.Store.StoreRun(key, e.ID, payload, text); serr != nil {
-						storeErrors.Add(1)
-					}
-				}
 			}
 			finish()
 			<-sem
 		}(i, e)
 	}
 	wg.Wait()
-	rep.StoreHits = int(storeHits.Load())
-	rep.StoreErrors = int(storeErrors.Load())
 	return rep, rep.Err()
 }

@@ -164,7 +164,10 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 }
 
 // Gather collects every rank's payload at root, returned as a slice
-// indexed by rank (nil on non-roots).
+// indexed by rank (nil on non-roots). The root receives in rank order,
+// not first-come: every receive advances its clock, so the order fixes
+// the root's time, and arrival order on a goroutine World is wall-clock
+// scheduling.
 func (c *Comm) Gather(root int, data any) []any {
 	n := len(c.group)
 	c.checkRoot(root, n)
@@ -174,9 +177,10 @@ func (c *Comm) Gather(root int, data any) []any {
 	}
 	out := make([]any, n)
 	out[root] = data
-	for i := 0; i < n-1; i++ {
-		v, st := c.Recv(AnySource, tagGather)
-		out[st.Source] = v
+	for i := range n {
+		if i != root {
+			out[i], _ = c.Recv(i, tagGather)
+		}
 	}
 	return out
 }

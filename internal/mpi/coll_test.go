@@ -190,6 +190,48 @@ func TestGatherScatter(t *testing.T) {
 	})
 }
 
+// TestGatherClockIsRankOrderFold: the root's clock after Gather is the
+// rank-order fold of the arrival stamps, whatever order the messages
+// reach its mailbox. The senders post in reverse rank order (rank n-1
+// first) with clocks skewed against rank order, so a first-come
+// receive would fold them in the other order and end earlier.
+func TestGatherClockIsRankOrderFold(t *testing.T) {
+	const n = 5
+	tr := ConstTransport{Alpha: sim.Microsecond, ORecv: 10 * sim.Microsecond}
+	skew := func(r int) sim.Time { return sim.Time(n-r) * 100 * sim.Microsecond }
+	var want sim.Time
+	for r := 1; r < n; r++ {
+		want = max(want+tr.ORecv, skew(r)+tr.Alpha)
+	}
+	// sent[r] closes once rank r has posted; rank r waits for rank r+1.
+	var sent [n + 1]chan struct{}
+	for i := range sent {
+		sent[i] = make(chan struct{})
+	}
+	close(sent[n])
+	var got sim.Time
+	_, err := Run(n, tr, func(c *Comm) error {
+		r := c.Rank()
+		if r == 0 {
+			<-sent[1]
+			c.Gather(0, r)
+			got = c.Time()
+			return nil
+		}
+		c.Advance(skew(r))
+		<-sent[r+1]
+		c.Gather(0, r)
+		close(sent[r])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("root clock after Gather = %v, want the rank-order fold %v", got, want)
+	}
+}
+
 func TestAllgather(t *testing.T) {
 	const n = 4
 	runN(t, n, func(c *Comm) error {

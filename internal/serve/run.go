@@ -40,20 +40,16 @@ type ExperimentResult struct {
 // specs through it, so a spec's stored bytes do not depend on which
 // tool computed them.
 func Execute(ctx context.Context, key string, spec *JobSpec, progress func(string)) (*Entry, error) {
-	entry := &Entry{Key: key, Verified: true}
-	payload := &ResultPayload{Key: key}
-	var text, trace, metrics func(io.Writer) error
+	var entry *Entry
+	var trace, metrics func(io.Writer) error
 	if spec.Experiment != "" {
 		rep, err := spec.runner(progress).Run(ctx, spec.Experiment)
 		if err != nil {
 			return nil, err
 		}
-		res := rep.Results[0]
-		payload.Kind = "experiment"
-		payload.Experiment = &ExperimentResult{
-			ID: res.ID, Title: res.Title, PaperRef: res.PaperRef, Table: res.Table,
+		if entry, err = ExperimentEntry(key, rep.Results[0]); err != nil {
+			return nil, err
 		}
-		text = func(w io.Writer) error { return deep.TableSink{}.Write(w, rep) }
 		trace, metrics = rep.WriteChromeTrace, rep.WriteMetricsCSV
 	} else {
 		env, wl, err := spec.buildEnv()
@@ -70,17 +66,13 @@ func Execute(ctx context.Context, key string, spec *JobSpec, progress func(strin
 		case spec.MetricsEveryS > 0 && res.Series == nil:
 			return nil, fmt.Errorf("workload %q samples no metrics (only engine-backed workloads do)", wl.Name())
 		}
-		payload.Kind, payload.Workload = "workload", res
+		if entry, err = encode(key, &ResultPayload{Kind: "workload", Workload: res}, res.WriteText); err != nil {
+			return nil, err
+		}
 		entry.Verified = res.Verified
-		text, trace, metrics = res.WriteText, res.Trace.WriteChrome, res.Series.WriteCSV
+		trace, metrics = res.Trace.WriteChrome, res.Series.WriteCSV
 	}
 	var err error
-	if entry.Result, err = json.Marshal(payload); err != nil {
-		return nil, err
-	}
-	if entry.Text, err = render(text); err != nil {
-		return nil, err
-	}
 	if spec.Trace {
 		if entry.Trace, err = render(trace); err != nil {
 			return nil, err
@@ -90,6 +82,32 @@ func Execute(ctx context.Context, key string, spec *JobSpec, progress func(strin
 		if entry.Metrics, err = render(metrics); err != nil {
 			return nil, err
 		}
+	}
+	return entry, nil
+}
+
+// ExperimentEntry encodes one finished registry run as the record of
+// the experiment spec keyed key: the ResultPayload JSON and the
+// rendered table (what deep.TableSink prints for it). Execute and
+// deepbench both encode through it, so a deepbench sweep point and a
+// deepd job are the same record.
+func ExperimentEntry(key string, res deep.RunResult) (*Entry, error) {
+	return encode(key, &ResultPayload{Kind: "experiment", Experiment: &ExperimentResult{
+		ID: res.ID, Title: res.Title, PaperRef: res.PaperRef, Table: res.Table,
+	}}, res.Table.Render)
+}
+
+// encode marshals payload under key and renders its text into a
+// verified entry.
+func encode(key string, payload *ResultPayload, text func(io.Writer) error) (*Entry, error) {
+	payload.Key = key
+	entry := &Entry{Key: key, Verified: true}
+	var err error
+	if entry.Result, err = json.Marshal(payload); err != nil {
+		return nil, err
+	}
+	if entry.Text, err = render(text); err != nil {
+		return nil, err
 	}
 	return entry, nil
 }

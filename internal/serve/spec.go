@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 
 	"repro/deep"
@@ -301,6 +302,9 @@ func (m *MachineSpec) normalize() error {
 		x, y, z := m.BoosterTorus[0], m.BoosterTorus[1], m.BoosterTorus[2]
 		if x < 1 || y < 1 || z < 1 {
 			return invalidf("booster_torus %v has non-positive dimensions", m.BoosterTorus)
+		}
+		if x > math.MaxInt/y/z {
+			return invalidf("booster_torus %v overflows the node count", m.BoosterTorus)
 		}
 		if m.BoosterNodes != 0 && m.BoosterNodes != x*y*z {
 			return invalidf("booster_nodes %d contradicts booster_torus %v (= %d nodes)",
