@@ -161,6 +161,34 @@ func TestResumedSweepSkipsStoredPoints(t *testing.T) {
 	}
 }
 
+// TestStoreSurvivesProcessRestart: a point written by one process and
+// read back after the store is closed and reopened by another serves
+// a resumed run the bytes the writing run printed.
+func TestStoreSurvivesProcessRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	args := []string{"-run", "E01", "-csv", "-seed", "7", "-store", dir}
+	written, _ := mustRun(t, args...)
+
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if infos := st.Query("E01"); len(infos) != 1 {
+		t.Fatalf("store reopened with %d E01 records, want 1", len(infos))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, stderr := mustRun(t, append(args, "-resume")...)
+	if !strings.Contains(stderr, "resumed 1 of 1 points") {
+		t.Fatalf("restarted store missed: %q", stderr)
+	}
+	if resumed != written {
+		t.Fatalf("store hit after restart differs from the run that wrote it:\n--- resumed ---\n%s--- written ---\n%s", resumed, written)
+	}
+}
+
 // TestStoreKeySeparation: a different seed is a different point, and
 // spelled-out defaults are the same point.
 func TestStoreKeySeparation(t *testing.T) {
